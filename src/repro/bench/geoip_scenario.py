@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.aggregate import aggregated_rib
 from repro.data.geoip import generate_geoip_table
 from repro.data.traffic import random_addresses
-from repro.lookup import kernels
+from repro.lookup.base import scalar_batch
 from repro.lookup.registry import get
 
 
@@ -50,14 +50,9 @@ def _depth_histogram(structure, keys) -> Optional[Dict[str, int]]:
 
 def _build_row(name: str, span: Optional[int], rib, entry, keys) -> Dict:
     structure = entry.from_rib(rib)
-    scalar = np.fromiter(
-        (structure.lookup(int(key)) for key in keys),
-        dtype=np.uint32,
-        count=len(keys),
-    )
-    scalar_sha = _sha256(scalar)
+    scalar_sha = _sha256(scalar_batch(structure.lookup, keys))
     kernel_sha = None
-    if entry.supports_kernel and kernels.dispatch_enabled():
+    if structure.supports_batch():
         kernel_sha = _sha256(structure.lookup_batch(keys))
     histogram = _depth_histogram(structure, keys)
     mean_depth = None

@@ -11,8 +11,9 @@ Two engines are measured:
   address immediately before its lookup with xorshift32, exactly as the
   paper's measurement loop does (Section 4.2, including the generator
   overhead in the result);
-- **batch** — the numpy engines, which amortise the interpreter overhead
-  and are the better proxy for compiled relative performance.
+- **batch** — ``lookup_batch`` (the branchless kernel, or the scalar
+  loop for structures without one), which amortises the interpreter
+  overhead and is the better proxy for compiled relative performance.
 
 Absolute numbers are of course far below the paper's C implementation —
 the shape comparisons (who wins, by what factor, where the crossovers

@@ -1,36 +1,30 @@
-"""Kernel-vs-template measurement: the ``BENCH_kernels.json`` numbers.
+"""Kernel-vs-scalar measurement: the ``BENCH_kernels.json`` numbers.
 
-One structure, one key stream, four engines timed against each other:
+One structure, one key stream, three batch paths timed against each
+other:
 
 - **scalar** — per-key ``lookup()`` calls (the oracle; also the source
-  of the result fingerprint every other engine must match);
-- **generic template** — the base-class numpy ``_lookup_batch`` loop
-  (``np.fromiter`` over the scalar method): what every engine fell back
-  to before per-engine vectorization existed, and the "existing numpy
-  template" baseline the kernel speedup headline is quoted against;
-- **engine template** — the structure's own pre-kernel vectorized path
-  (``repro.core.vectorized`` for Poptrie, ``_lookup_batch_template`` on
-  the baselines), timed under :func:`~repro.lookup.kernels.kernels_disabled`;
+  of the result fingerprint the kernel must match);
+- **generic template** — the per-key loop wrapped as a batch call
+  (:func:`~repro.lookup.base.scalar_batch`, what a structure without a
+  kernel runs): the baseline the kernel speedup headline is quoted
+  against;
 - **kernel** — the branchless gather kernel from
-  :mod:`repro.lookup.kernels`.
+  :mod:`repro.lookup.kernels`, through the structure's ``lookup_batch``.
 
-The engine-template and kernel passes run *interleaved in the same
-process*, alternating per repeat with min-of-N — same warmed caches,
-same CPU-frequency regime — because cross-process comparisons on shared
-machines routinely wobble 30–40%, which is larger than some of the
-effects being measured.
+Every pass runs in one process with min-of-N, because cross-process
+comparisons on shared machines routinely wobble 30–40%.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 
-from repro.lookup.base import LookupStructure, normalize_batch_keys
-from repro.lookup import kernels
+from repro.lookup.base import LookupStructure, normalize_batch_keys, scalar_batch
 
 
 def _time_pass(fn: Callable[[np.ndarray], object], keys: np.ndarray,
@@ -55,93 +49,59 @@ def kernel_comparison(
     chunk: int = 1 << 16,
     reference_keys: int = 20_000,
 ) -> Dict[str, object]:
-    """Measure all four engines for ``structure`` over ``keys``.
+    """Measure the scalar, generic-template and kernel paths for
+    ``structure`` over ``keys``.
 
     The slow per-key paths (scalar, generic template) are timed over the
     first ``reference_keys`` keys only — at full-table scale they are
     ~100× slower than the kernel, and a capped sample times them just as
-    accurately.  The engine template and the kernel see the full stream.
-    The scalar *results*, however, are computed over the full stream
-    untimed: they are the oracle fingerprint.
+    accurately.  The kernel sees the full stream.  The scalar *results*,
+    however, are computed over the full stream untimed: they are the
+    oracle fingerprint.
     """
     keys = normalize_batch_keys(keys, structure.width)
     ref = keys[: min(reference_keys, len(keys))]
 
     # Oracle: full-stream scalar results (untimed).
     lookup = structure.lookup
-    oracle = np.fromiter(
-        (lookup(int(key)) for key in keys), dtype=np.uint32, count=len(keys)
-    )
-    oracle_sha = _sha256(oracle)
+    oracle_sha = _sha256(scalar_batch(lookup, keys))
 
     # Scalar + generic-template rates over the reference sample.
     best_scalar = min(
         _time_pass(lambda c: [lookup(int(k)) for k in c], ref, chunk)
         for _ in range(repeats)
     )
-    generic = LookupStructure._lookup_batch.__get__(structure)
     best_generic = min(
-        _time_pass(generic, ref, chunk) for _ in range(repeats)
+        _time_pass(lambda c: scalar_batch(lookup, c), ref, chunk)
+        for _ in range(repeats)
     )
 
-    # Engine template vs kernel, interleaved in this same process.
-    kernel = kernels.kernel_for_class(type(structure))
-    has_kernel = (
-        kernel is not None
-        and kernel.supports_width(structure.width)
-        and kernels.dispatch_enabled()
-    )
-    has_engine = structure.supports_batch()
-    best_engine = best_kernel = float("inf")
-    for _ in range(repeats):
-        if has_kernel:
-            best_kernel = min(
-                best_kernel, _time_pass(structure._lookup_batch, keys, chunk)
-            )
-        if has_engine:
-            with kernels.kernels_disabled():
-                best_engine = min(
-                    best_engine,
-                    _time_pass(structure._lookup_batch, keys, chunk),
-                )
-
-    def rate(seconds: float, count: int) -> Optional[float]:
-        if seconds == float("inf") or seconds <= 0:
-            return None
-        return count / seconds / 1e6
-
-    kernel_sha = engine_sha = None
-    if has_kernel:
+    kernel = structure._batch_kernel()
+    kernel_mlps = kernel_sha = None
+    if kernel is not None:
+        best_kernel = min(
+            _time_pass(structure._lookup_batch, keys, chunk)
+            for _ in range(repeats)
+        )
+        kernel_mlps = len(keys) / best_kernel / 1e6
         kernel_sha = _sha256(structure.lookup_batch(keys))
-    if has_engine:
-        with kernels.kernels_disabled():
-            engine_sha = _sha256(structure.lookup_batch(keys))
 
-    scalar_mlps = rate(best_scalar, len(ref))
-    generic_mlps = rate(best_generic, len(ref))
-    engine_mlps = rate(best_engine, len(keys)) if has_engine else None
-    kernel_mlps = rate(best_kernel, len(keys)) if has_kernel else None
-
-    def ratio(a: Optional[float], b: Optional[float]) -> Optional[float]:
-        return a / b if a and b else None
-
+    generic_mlps = len(ref) / best_generic / 1e6
     return {
         "name": structure.name,
         "batch_engine": structure.batch_engine(),
-        "kernel": kernel.name if has_kernel else None,
+        "kernel": None if kernel is None else kernel.name,
         "memory_bytes": structure.memory_bytes(),
         "queries": len(keys),
         "reference_queries": len(ref),
-        "scalar_mlps": scalar_mlps,
+        "scalar_mlps": len(ref) / best_scalar / 1e6,
         "generic_template_mlps": generic_mlps,
-        "engine_mlps": engine_mlps,
         "kernel_mlps": kernel_mlps,
-        # Kernel speedup over the generic numpy template — the headline
-        # number — and over the per-engine vectorized path, separately.
-        "speedup_vs_template": ratio(kernel_mlps, generic_mlps),
-        "speedup_vs_engine": ratio(kernel_mlps, engine_mlps),
+        # Kernel speedup over the generic per-key batch loop.
+        "speedup_vs_template": (
+            None if kernel_mlps is None else kernel_mlps / generic_mlps
+        ),
         "scalar_sha256": oracle_sha,
         "kernel_sha256": kernel_sha,
-        "engine_sha256": engine_sha,
-        "oracle_match": kernel_sha == oracle_sha if has_kernel else None,
+        "oracle_match": None if kernel is None else kernel_sha == oracle_sha,
     }

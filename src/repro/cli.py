@@ -340,17 +340,12 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    import contextlib
-
     from repro import obs
     from repro.bench.harness import measure_rate_batch
     from repro.bench.report import Table
     from repro.data.traffic import random_addresses
-    from repro.lookup import kernels
     from repro.lookup.registry import standard_roster
 
-    if args.kernel and args.no_kernel:
-        raise _UsageError("--kernel and --no-kernel are mutually exclusive")
     if args.geoip and (args.kernel or args.workers):
         raise _UsageError(
             "--geoip is its own scenario; drop --kernel/--workers"
@@ -374,28 +369,23 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except KeyError as error:
         raise _UsageError(error.args[0]) from None
     keys = random_addresses(args.queries, seed=args.seed)
-    title = f"random-pattern batch rates ({args.queries} queries)"
-    if args.no_kernel:
-        title += ", kernels disabled"
-    table = Table(["Structure", "KiB", "batch Mlps", "engine"], title=title)
-    disable = (
-        kernels.kernels_disabled() if args.no_kernel
-        else contextlib.nullcontext()
+    table = Table(
+        ["Structure", "KiB", "batch Mlps", "engine"],
+        title=f"random-pattern batch rates ({args.queries} queries)",
     )
-    with disable:
-        for name, structure in roster.items():
-            if structure is None:
-                table.add_row([name, None, None, None])
-                continue
-            if args.metrics:
-                structure.enable_obs()
-            result = measure_rate_batch(structure, keys, repeats=args.repeats)
-            table.add_row([
-                name, structure.memory_bytes() / 1024, result.mlps,
-                structure.batch_engine(),
-            ])
-            if args.metrics:
-                structure.stats()  # refresh the per-structure gauges
+    for name, structure in roster.items():
+        if structure is None:
+            table.add_row([name, None, None, None])
+            continue
+        if args.metrics:
+            structure.enable_obs()
+        result = measure_rate_batch(structure, keys, repeats=args.repeats)
+        table.add_row([
+            name, structure.memory_bytes() / 1024, result.mlps,
+            structure.batch_engine(),
+        ])
+        if args.metrics:
+            structure.stats()  # refresh the per-structure gauges
     print(table.render())
     if args.metrics:
         # One short churn burst against an updatable structure so the
@@ -477,15 +467,17 @@ def _bench_geoip(args: argparse.Namespace) -> int:
 
 
 def _bench_kernels(args: argparse.Namespace) -> int:
-    """``bench --kernel``: scalar vs generic template vs per-engine
-    vectorized path vs branchless kernel, all measured in one process
-    (interleaved min-of-N — see :mod:`repro.bench.kernels`).  ``--json``
-    writes the rows as ``BENCH_kernels.json`` (the CI artifact)."""
+    """``bench --kernel``: scalar vs generic template vs branchless
+    kernel, all measured in one process (min-of-N — see
+    :mod:`repro.bench.kernels`).  Keys follow the table's width: the
+    xorshift32 pattern for IPv4, Section 4.10's 2000::/8 pattern for
+    IPv6.  ``--json`` writes the rows as ``BENCH_kernels.json`` (the CI
+    artifact; ``BENCH_kernels_v6.json`` for an IPv6 table)."""
     import json
 
     from repro.bench.kernels import kernel_comparison
     from repro.bench.report import Table
-    from repro.data.traffic import random_addresses
+    from repro.data.traffic import random_addresses, random_addresses_v6
     from repro.lookup.registry import available, get, standard_roster
 
     if args.algorithm:
@@ -497,10 +489,13 @@ def _bench_kernels(args: argparse.Namespace) -> int:
             _require_table(args)), names=names)
     except KeyError as error:
         raise _UsageError(error.args[0]) from None
-    keys = random_addresses(args.queries, seed=args.seed)
+    if rib.width == 128:
+        keys = random_addresses_v6(args.queries, seed=args.seed)
+    else:
+        keys = random_addresses(args.queries, seed=args.seed)
     table = Table(
-        ["Structure", "KiB", "scalar", "template", "engine", "kernel",
-         "×template", "×engine", "oracle"],
+        ["Structure", "KiB", "scalar", "template", "kernel", "×template",
+         "oracle"],
         title=(
             f"batch engines over {len(rib)} routes "
             f"({args.queries} queries, Mlps, min of {args.repeats})"
@@ -509,15 +504,14 @@ def _bench_kernels(args: argparse.Namespace) -> int:
     rows = []
     for name, structure in roster.items():
         if structure is None:
-            table.add_row([name] + [None] * 8)
+            table.add_row([name] + [None] * 6)
             continue
         row = kernel_comparison(structure, keys, repeats=args.repeats)
         rows.append(row)
         table.add_row([
             name, row["memory_bytes"] / 1024, row["scalar_mlps"],
-            row["generic_template_mlps"], row["engine_mlps"],
-            row["kernel_mlps"], row["speedup_vs_template"],
-            row["speedup_vs_engine"],
+            row["generic_template_mlps"], row["kernel_mlps"],
+            row["speedup_vs_template"],
             {True: "ok", False: "MISMATCH", None: "-"}[row["oracle_match"]],
         ])
     print(table.render())
@@ -531,6 +525,7 @@ def _bench_kernels(args: argparse.Namespace) -> int:
         payload = {
             "scenario": "kernels",
             "routes": len(rib),
+            "width": rib.width,
             "queries": args.queries,
             "repeats": args.repeats,
             "numpy": numpy.__version__,
@@ -1522,11 +1517,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "workers instead of the roster comparison "
                         "(the real Figure 8)")
     p.add_argument("--kernel", action="store_true",
-                   help="measure scalar vs numpy-template vs branchless-"
+                   help="measure scalar vs generic-template vs branchless-"
                         "kernel rates per algorithm, in one process")
-    p.add_argument("--no-kernel", action="store_true",
-                   help="disable kernel dispatch: measure the legacy "
-                        "per-engine numpy templates")
     p.add_argument("--geoip", action="store_true",
                    help="run the GeoIP value-plane scenario (synthetic "
                         "country-code table; raw vs aggregated builds)")

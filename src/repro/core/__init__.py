@@ -9,8 +9,9 @@
   (Section 3.5).
 - :mod:`repro.core.aggregate` — route aggregation (the FIB compression the
   paper applies before compilation) plus an optimal ORTC variant.
-- :mod:`repro.core.vectorized` — numpy batch-lookup engine used by the
-  throughput benchmarks.
+
+Batch lookups run the branchless Poptrie kernel in
+:mod:`repro.lookup.kernels` (IPv4 and IPv6 alike).
 """
 
 from repro.core.poptrie import Poptrie, PoptrieConfig

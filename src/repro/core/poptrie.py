@@ -300,31 +300,6 @@ class Poptrie(LookupStructure):
             bc = ((~vector) & ((2 << v) - 1)).bit_count()
         return self.leaves[self.base0[index] + bc - 1]
 
-    def _lookup_batch(self, keys) -> np.ndarray:
-        """Batch lookup: the branchless kernel for any width ≤ 64 (see
-        :mod:`repro.lookup.kernels`), the legacy per-engine template
-        (:mod:`repro.core.vectorized`) when kernel dispatch is disabled,
-        and the chunk-matrix path for IPv6 (object array of 128-bit
-        ints).  The state is rebuilt per call because updates may
-        reallocate the live arrays."""
-        from repro.lookup import kernels
-
-        if self.width <= 64 and kernels.dispatch_enabled():
-            kernel = kernels.kernel_for_class(type(self))
-            if kernel is not None:
-                return kernel.lookup_batch(
-                    kernel.state_from_structure(self), keys
-                )
-        if self.width == 32:
-            from repro.core.vectorized import poptrie_lookup_batch
-
-            return poptrie_lookup_batch(self, keys)
-        if self.width == 128 and self.s <= 64:
-            from repro.core.vectorized import poptrie_lookup_batch_v6
-
-            return poptrie_lookup_batch_v6(self, keys)
-        return LookupStructure._lookup_batch(self, keys)
-
     def lookup_traced(self, key: int, trace: AccessTrace) -> int:
         """Like :meth:`lookup` but records every memory access and an
         instruction estimate into ``trace`` for the cycle simulator."""
@@ -452,7 +427,7 @@ class Poptrie(LookupStructure):
             # Zero-copy attach: wrap the image's buffer in read-only
             # views.  The trie is frozen — every mutation path hits a
             # read-only numpy array — but lookups (scalar, traced and
-            # vectorised) work unchanged, which is what pool workers do
+            # kernel) work unchanged, which is what pool workers do
             # against shared memory.
             def frozen(arr):
                 view = np.asarray(arr).view()

@@ -15,11 +15,12 @@ Four contracts live here:
 - **Batch input.**  :meth:`LookupStructure.lookup_batch` accepts any
   sequence of integer addresses — a plain ``list[int]``, any integer
   numpy array, or an object-dtype array of Python ints — and normalizes
-  it once (:func:`normalize_batch_keys`) before dispatching to the
-  structure's vectorised engine (:meth:`_lookup_batch`).  IPv4 keys
-  travel as ``uint64`` arrays; IPv6 keys stay arbitrary-precision
-  Python ints in an object array, which the engines split into
-  ``(hi, lo)`` uint64 columns (``repro.core.vectorized.split_v6``).
+  it once (:func:`normalize_batch_keys`) before running the structure's
+  branchless kernel, or the scalar loop when none serves it
+  (:meth:`_lookup_batch`).  IPv4 keys travel as ``uint64`` arrays; IPv6
+  keys stay arbitrary-precision Python ints in an object array, which
+  the kernel splits into ``(hi, lo)`` uint64 columns
+  (:func:`repro.lookup.kernels.split_v6`).
 - **Observability.**  :meth:`LookupStructure.stats` returns a stable
   per-structure snapshot, and :meth:`enable_obs` installs per-instance
   lookup instrumentation (counts, depth histograms) against the active
@@ -51,13 +52,14 @@ def normalize_batch_keys(keys, width: int = 32) -> np.ndarray:
     The :meth:`LookupStructure.lookup_batch` input contract: callers may
     pass a plain Python sequence of ints, any integer-dtype numpy array,
     or an object-dtype array of Python ints; this helper converts all of
-    them to the one representation the vectorised engines consume:
+    them to the one representation the batch paths consume:
 
     - ``width <= 64`` (IPv4): a contiguous ``uint64`` array.  Every key
-      is a machine word; engines index arrays with it directly.
+      is a machine word; kernels index arrays with it directly.
     - ``width > 64`` (IPv6): an object-dtype array of Python ints.
-      128-bit keys do not fit a numpy scalar, so engines split them into
-      ``(hi, lo)`` uint64 columns (``repro.core.vectorized.split_v6``).
+      128-bit keys do not fit a numpy scalar, so the kernel splits them
+      into ``(hi, lo)`` uint64 columns
+      (:func:`repro.lookup.kernels.split_v6`).
 
     Float or otherwise non-integer inputs raise ``TypeError`` — silently
     truncating 10.5 to address 10 would mask caller bugs.
@@ -86,6 +88,15 @@ def normalize_batch_keys(keys, width: int = 32) -> np.ndarray:
     for i, key in enumerate(keys):
         out[i] = _as_int_key(key)
     return out
+
+
+def scalar_batch(lookup, keys) -> np.ndarray:
+    """The per-key loop: ``lookup(key)`` for each normalized key, as a
+    uint32 array — the batch path of structures without a kernel, and
+    the oracle the kernels are held to."""
+    return np.fromiter(
+        (lookup(int(key)) for key in keys), dtype=np.uint32, count=len(keys)
+    )
 
 
 def _as_int_key(key) -> int:
@@ -129,8 +140,9 @@ class LookupStructure(abc.ABC):
 
     Subclasses must implement :meth:`lookup`, :meth:`memory_bytes` and the
     :meth:`from_rib` constructor.  :meth:`lookup_traced` (for the cycle
-    simulator) and :meth:`lookup_batch` (numpy engine) default to the
-    scalar path so partial implementations stay usable.
+    simulator) defaults to the scalar path, and :meth:`lookup_batch`
+    runs the class's registered kernel or else the scalar loop, so
+    partial implementations stay usable.
     """
 
     #: Human-readable name used in benchmark reports ("Poptrie18", "D16R"...).
@@ -178,8 +190,8 @@ class LookupStructure(abc.ABC):
         The public batch entry point.  ``keys`` may be a plain sequence
         of Python ints, any integer numpy array, or an object-dtype
         array — :func:`normalize_batch_keys` converts it once to the
-        engine's canonical dtype (uint64 for widths up to 64 bits,
-        object array of Python ints beyond) before dispatching to
+        canonical dtype (uint64 for widths up to 64 bits, object array
+        of Python ints beyond) before dispatching to
         :meth:`_lookup_batch`.  Results are identical to calling
         :meth:`lookup` per key; the conformance test in
         ``tests/test_batch_contract.py`` holds every registered
@@ -188,20 +200,30 @@ class LookupStructure(abc.ABC):
         return self._lookup_batch(normalize_batch_keys(keys, self.width))
 
     def _lookup_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Engine hook: batch lookup over *normalized* keys.
+        """The one batch dispatch, over *normalized* keys: the kernel
+        registered for this class when it takes this width (see
+        :mod:`repro.lookup.kernels`), else the scalar loop.  The kernel
+        state is rebuilt per call because updates may reallocate the
+        live arrays."""
+        kernel = self._batch_kernel()
+        if kernel is not None:
+            return kernel.lookup_batch(kernel.state_from_structure(self), keys)
+        return scalar_batch(self.lookup, keys)
 
-        Subclasses with a vectorised engine override this (not
-        :meth:`lookup_batch`, which owns input normalization); the
-        default is the scalar loop.
-        """
-        lookup = self.lookup
-        return np.fromiter(
-            (lookup(int(key)) for key in keys), dtype=np.uint32, count=len(keys)
-        )
+    def _batch_kernel(self):
+        """The kernel that serves this structure's class and width, or
+        None."""
+        from repro.lookup import kernels
+
+        kernel = kernels.kernel_for_class(type(self))
+        if kernel is not None and kernel.supports_width(self.width):
+            return kernel
+        return None
 
     def supports_batch(self) -> bool:
-        """True when :meth:`lookup_batch` is a real vectorised engine."""
-        return type(self)._lookup_batch is not LookupStructure._lookup_batch
+        """True when :meth:`lookup_batch` runs a kernel for this
+        structure's width rather than the scalar loop."""
+        return self._batch_kernel() is not None
 
     @classmethod
     def supports_kernel(cls) -> bool:
@@ -213,16 +235,10 @@ class LookupStructure(abc.ABC):
         return kernels.kernel_for_class(cls) is not None
 
     def batch_engine(self) -> str:
-        """Which engine a :meth:`lookup_batch` call would use right now:
-        ``"kernel:<name>"``, ``"template"`` (the pre-kernel per-engine
-        numpy path), or ``"scalar"`` (the per-key fallback loop)."""
-        from repro.lookup import kernels
-
-        if kernels.dispatch_enabled():
-            kernel = kernels.kernel_for_class(type(self))
-            if kernel is not None and kernel.supports_width(self.width):
-                return f"kernel:{kernel.name}"
-        return "template" if self.supports_batch() else "scalar"
+        """Which path a :meth:`lookup_batch` call takes:
+        ``"kernel:<name>"`` or ``"scalar"`` (the per-key loop)."""
+        kernel = self._batch_kernel()
+        return "scalar" if kernel is None else f"kernel:{kernel.name}"
 
     def memory_mib(self) -> float:
         return self.memory_bytes() / (1 << 20)
@@ -643,15 +659,12 @@ class LookupStructure(abc.ABC):
         if self.supports_batch():
             batch = type(self).lookup_batch.__get__(self)
         else:
-            # The default _lookup_batch loops over self.lookup, which would
-            # resolve to the observed wrapper and double-count every key —
-            # loop over the unwrapped scalar method instead.
+            # The scalar loop in _lookup_batch calls self.lookup, which
+            # would resolve to the observed wrapper and double-count every
+            # key — loop over the unwrapped scalar method instead.
             def batch(keys):
-                keys = normalize_batch_keys(keys, self.width)
-                return np.fromiter(
-                    (scalar(int(key)) for key in keys),
-                    dtype=np.uint32,
-                    count=len(keys),
+                return scalar_batch(
+                    scalar, normalize_batch_keys(keys, self.width)
                 )
 
         def observed_lookup(key: int) -> int:

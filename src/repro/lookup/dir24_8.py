@@ -123,32 +123,6 @@ class Dir24_8(LookupStructure):
             return self.tbl_long[index]
         return entry
 
-    def _lookup_batch(self, keys: np.ndarray) -> np.ndarray:
-        from repro.lookup import kernels
-
-        if kernels.dispatch_enabled():
-            kernel = kernels.kernel_for_class(type(self))
-            if kernel is not None:
-                return kernel.lookup_batch(
-                    kernel.state_from_structure(self), keys
-                )
-        return self._lookup_batch_template(keys)
-
-    def _lookup_batch_template(self, keys: np.ndarray) -> np.ndarray:
-        """Pre-kernel numpy template, kept as the ``--no-kernel``
-        baseline and the kernels' in-repo reference implementation."""
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        tbl24 = np.frombuffer(self.tbl24, dtype=np.uint16)
-        entries = tbl24[(keys >> np.uint64(8)).astype(np.int64)]
-        result = entries.astype(np.uint32)
-        deep = (entries & np.uint16(_CHUNK_FLAG)) != 0
-        if deep.any():
-            tbl_long = np.frombuffer(self.tbl_long, dtype=np.uint16)
-            chunk = (entries[deep] & np.uint16(_CHUNK_FLAG - 1)).astype(np.int64)
-            index = (chunk << 8) | (keys[deep] & np.uint64(0xFF)).astype(np.int64)
-            result[deep] = tbl_long[index]
-        return result
-
     def memory_bytes(self) -> int:
         return 2 * len(self.tbl24) + 2 * len(self.tbl_long)
 

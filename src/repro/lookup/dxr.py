@@ -88,7 +88,7 @@ class Dxr(LookupStructure):
         self._range_region = self.memmap.add_region(
             "dxr.ranges", range_bytes, max(len(starts), 1)
         )
-        # Global sorted keys for the vectorised engine (IPv4 only).
+        # Global sorted keys for the DXR kernel (IPv4 only).
         self._gkeys = None
         if width == 32 and starts:
             chunk_of = np.zeros(len(starts), dtype=np.uint64)
@@ -208,35 +208,6 @@ class Dxr(LookupStructure):
             else:
                 hi = mid
         return self.nexthops[lo - 1]
-
-    def _lookup_batch(self, keys: np.ndarray) -> np.ndarray:
-        if self.width != 32:
-            return super()._lookup_batch(keys)
-        from repro.lookup import kernels
-
-        if kernels.dispatch_enabled():
-            kernel = kernels.kernel_for_class(type(self))
-            if kernel is not None:
-                return kernel.lookup_batch(
-                    kernel.state_from_structure(self), keys
-                )
-        return self._lookup_batch_template(keys)
-
-    def _lookup_batch_template(self, keys: np.ndarray) -> np.ndarray:
-        """Pre-kernel numpy template, kept as the ``--no-kernel``
-        baseline and the kernels' in-repo reference implementation."""
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        table = np.frombuffer(self.table, dtype=np.uint32)
-        chunk = keys >> np.uint64(self.offset_bits)
-        entries = table[chunk.astype(np.int64)]
-        direct = (entries & np.uint32(_DIRECT_FLAG)) != 0
-        result = entries & np.uint32(_DIRECT_FLAG - 1)
-        deep = ~direct
-        if deep.any():
-            gkey = keys[deep]  # (chunk << offset_bits) | offset == the key itself
-            index = np.searchsorted(self._gkeys, gkey, side="right") - 1
-            result[deep] = self._gnh[index]
-        return result.astype(np.uint32)
 
     def memory_bytes(self) -> int:
         return 4 * len(self.table) + self._range_bytes * len(self.starts)

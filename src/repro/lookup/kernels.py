@@ -36,20 +36,23 @@ globally-sorted key column ``(chunk << offset_bits) | start`` from the
 needs a sorted probe array; the derivation is one ``np.repeat`` + shift,
 done once per attach, never per batch).
 
-Engines keep their pre-kernel numpy batch code as the *legacy template*
-(``repro.core.vectorized`` for Poptrie, ``_lookup_batch_template`` on
-the baselines).  :func:`kernels_disabled` switches the structure
-wrappers back to it — the benchmark harness measures scalar, template
-and kernel side by side, and the property tests hold all three to the
-scalar oracle.
+**Key columns.**  Keys up to 64 bits wide travel as one ``uint64``
+column.  128-bit (IPv6) keys arrive as an object array of Python ints;
+:class:`PoptrieKernel` splits them once into ``(hi, lo)`` uint64
+columns (:func:`split_v6`) and cuts each level's chunk from whichever
+word or words hold it — the same descent, two columns wide.
+
+Every structure's ``lookup_batch`` runs its kernel when one is
+registered for its class and width, and the scalar loop otherwise
+(:meth:`~repro.lookup.base.LookupStructure._lookup_batch`); the scalar
+``lookup`` stays the oracle every kernel is tested against.
 """
 
 from __future__ import annotations
 
 import abc
-import contextlib
 from functools import lru_cache
-from typing import Dict, Iterator, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -65,9 +68,8 @@ __all__ = [
     "kernel_for_class",
     "register_kernel",
     "available_kernels",
-    "dispatch_enabled",
-    "kernels_disabled",
     "popcount64",
+    "split_v6",
 ]
 
 #: 256-entry byte-wise popcount table (the paper's Section 3.2 trick,
@@ -106,29 +108,12 @@ else:  # pragma: no cover - numpy < 2.0
         return POP8[as_bytes].sum(axis=-1, dtype=np.uint8)
 
 
-# -- dispatch switch -------------------------------------------------------
-
-_DISPATCH = True
-
-
-def dispatch_enabled() -> bool:
-    """True while structure ``_lookup_batch`` wrappers route through
-    kernels (the default).  See :func:`kernels_disabled`."""
-    return _DISPATCH
-
-
-@contextlib.contextmanager
-def kernels_disabled() -> Iterator[None]:
-    """Temporarily route batch lookups through the legacy numpy
-    templates instead of the kernels — the ``bench --no-kernel`` switch
-    and the template half of every template-vs-kernel comparison."""
-    global _DISPATCH
-    previous = _DISPATCH
-    _DISPATCH = False
-    try:
-        yield
-    finally:
-        _DISPATCH = previous
+def split_v6(keys) -> Tuple[np.ndarray, np.ndarray]:
+    """Split 128-bit integer keys into ``(hi, lo)`` uint64 columns."""
+    keys = np.asarray(keys, dtype=object)
+    hi = (keys >> 64).astype(np.uint64)
+    lo = (keys & 0xFFFFFFFFFFFFFFFF).astype(np.uint64)
+    return hi, lo
 
 
 # -- the kernel contract ---------------------------------------------------
@@ -143,14 +128,15 @@ class LookupKernel(abc.ABC):
     - :meth:`prepare` — from an image's ``(meta, segments, width)``,
       with format validation (the attach path);
     - :meth:`state_from_structure` — from a live structure's own
-      arrays, trusted (the in-process ``_lookup_batch`` wrapper path;
-      states are rebuilt per call because live arrays may be
-      reallocated by updates — image-bound states are built once).
+      arrays, trusted (the in-process ``lookup_batch`` path; states are
+      rebuilt per call because live arrays may be reallocated by
+      updates — image-bound states are built once).
 
-    :meth:`lookup_batch` then computes FIB indices for a batch of
-    *normalized* uint64 keys against either state.  Results are
-    lane-for-lane identical to the structure's scalar ``lookup`` — the
-    registry-wide oracle test in ``tests/test_kernels.py`` enforces it.
+    :meth:`lookup_batch` then computes FIB indices for a batch of keys
+    normalized by :func:`~repro.lookup.base.normalize_batch_keys`
+    against either state.  Results are lane-for-lane identical to the
+    structure's scalar ``lookup`` — the registry-wide oracle test in
+    ``tests/test_kernels.py`` enforces it.
     """
 
     #: Short kernel identifier ("poptrie", "dxr", ...) used in pool
@@ -171,7 +157,7 @@ class LookupKernel(abc.ABC):
 
     @abc.abstractmethod
     def lookup_batch(self, state: Dict[str, object], keys: np.ndarray) -> np.ndarray:
-        """Resolve normalized uint64 ``keys`` to FIB indices (uint32)."""
+        """Resolve normalized ``keys`` to FIB indices (uint32)."""
 
     def supports_width(self, width: int) -> bool:
         """Address widths this kernel computes (keys are uint64 lanes)."""
@@ -247,11 +233,7 @@ class BoundKernel:
         )
 
     def lookup(self, key: int) -> int:
-        return int(
-            self.kernel.lookup_batch(
-                self.state, np.array([key], dtype=np.uint64)
-            )[0]
-        )
+        return int(self.lookup_batch([key])[0])
 
     def memory_bytes(self) -> int:
         return self._nbytes
@@ -273,7 +255,8 @@ def attach(image) -> BoundKernel:
     """Bind the registered kernel to ``image``'s zero-copy segment
     views.  Works identically over ``bytes``, an ``mmap``, or a
     ``SharedMemory`` buffer — whatever the image was opened on.  Raises
-    ``TypeError`` when no kernel serves the image's class/width."""
+    ``TypeError`` when no registered kernel takes the image's
+    class/width."""
     kernel = kernel_for(image)
     if kernel is None:
         raise TypeError(
@@ -296,32 +279,28 @@ def attach(image) -> BoundKernel:
 
 @lru_cache(maxsize=None)
 def _poptrie_plan(width: int, k: int, s: int):
-    """Per-(width, k, s) constants: the direct shift, the chunk mask and
-    one (left?, amount) shift per trie level.
+    """Per-(width, k, s) constants: the direct shift, the chunk mask and,
+    per trie level, the shifts that cut the chunk out of the key words.
 
-    Algorithm 1 extracts chunk ``i`` from the *zero-padded* key at bit
-    offset ``s + k*i``; rather than materialize ``key << pad`` per batch
-    (a full-array pass), each level folds the pad into its own shift —
-    a right shift while the chunk lies inside the real key, a left
+    A key travels as one uint64 column (width ≤ 64) or as ``(hi, lo)``
+    columns (width 128).  Algorithm 1 extracts chunk ``i`` from the
+    *zero-padded* key at bit offset ``s + k*i``; each level lists one
+    ``(column, left?, amount)`` shift per word the chunk overlaps — two
+    when it straddles the hi/lo boundary.  Rather than materialize the
+    padded key per batch (a full-array pass), the pad folds into a left
     shift for the final, partially-padded chunk.
     """
-    levels_n = -(-(width - s) // k) if width > s else 1
-    padded = s + k * levels_n
-    pad = padded - width
-    shift = padded - k - s
+    word = min(width, 64)
+    words = [(first, first + word) for first in range(0, width, word)]
     levels = []
-    for _ in range(levels_n):
-        sh = shift - pad
-        if sh >= 0:
-            levels.append((False, np.uint64(sh)))
-        else:
-            levels.append((True, np.uint64(-sh)))
-        shift -= k
-    return (
-        np.uint64(width - s),
-        np.uint64((1 << k) - 1),
-        tuple(levels),
-    )
+    for offset in range(s, width, k):
+        end = offset + k
+        levels.append(tuple(
+            (column, end > last, np.uint64(abs(end - last)))
+            for column, (first, last) in enumerate(words)
+            if first < end and offset < last
+        ))
+    return np.uint64(word - s), np.uint64((1 << k) - 1), tuple(levels)
 
 
 class PoptrieKernel(LookupKernel):
@@ -336,9 +315,16 @@ class PoptrieKernel(LookupKernel):
     popcount - 1``.  When no active lane descends further — the common
     case at the first level with real tables — the level resolves in a
     single unsplit pass.
+
+    128-bit keys descend as two columns, ``(hi, lo)``: the direct index
+    comes from ``hi``, and the per-level plan names the word (or, for a
+    chunk straddling bit 64, both words) each chunk is cut from.
     """
 
     name = "poptrie"
+
+    def supports_width(self, width: int) -> bool:
+        return width <= 64 or width == 128
 
     def prepare(self, meta, segments, *, width: int) -> Dict[str, object]:
         from repro.errors import SnapshotFormatError
@@ -360,7 +346,7 @@ class PoptrieKernel(LookupKernel):
             ) from error
         if (
             not 1 <= k <= 6
-            or not 0 <= s <= width
+            or not 0 <= s <= min(width, 64)
             or leaf_bits not in (16, 32)
             or len(vec) != node_count
             or len(lvec) != node_count
@@ -399,6 +385,7 @@ class PoptrieKernel(LookupKernel):
                vec, lvec, base0, base1, leaves, direct):
         dshift, kmask, levels = _poptrie_plan(width, k, s)
         return {
+            "wide": width > 64,
             "s": s,
             "root": root,
             "use_leafvec": use_leafvec,
@@ -417,6 +404,7 @@ class PoptrieKernel(LookupKernel):
         n = keys.shape[0]
         if n == 0:
             return np.empty(0, dtype=np.uint32)
+        cols = split_v6(keys) if state["wide"] else (keys,)
         vec = state["vec"]
         lvec = state["lvec"]
         base0 = state["base0"]
@@ -431,7 +419,7 @@ class PoptrieKernel(LookupKernel):
             # (indices are < 2^s).  Stripping the tag bit in place is
             # safe: the tag is only ever set on leaf entries, so node
             # indices pass through unchanged.
-            idx = (keys >> state["dshift"]).view(np.int64)
+            idx = (cols[0] >> state["dshift"]).view(np.int64)
             entries = state["direct"].take(idx)
             active = np.flatnonzero(entries < np.uint32(_DIRECT_LEAF))
             np.bitwise_and(entries, _NODE_MASK32, out=entries)
@@ -439,19 +427,22 @@ class PoptrieKernel(LookupKernel):
             if active.size == 0:
                 return result
             index = entries.take(active).astype(np.int64)
-            akeys = keys.take(active)
+            cols = [col.take(active) for col in cols]
         else:
             result = np.zeros(n, dtype=np.uint32)
             active = np.arange(n, dtype=np.int64)
             index = np.full(n, state["root"], dtype=np.int64)
-            akeys = keys
 
         # Stage 2: all still-active lanes descend one level per
         # iteration.  A valid trie terminates every lane within the
         # planned levels (the final level's vectors carry no descend
         # bits by construction).
-        for left, sh in state["levels"]:
-            v = ((akeys << sh) if left else (akeys >> sh)) & kmask
+        for terms in state["levels"]:
+            v = None
+            for column, left, sh in terms:
+                part = (cols[column] << sh) if left else (cols[column] >> sh)
+                v = part if v is None else v | part
+            v &= kmask
             vectors = vec.take(index)
             descend = ((vectors >> v) & _ONE64) != 0
             mask = _FULL64 >> (_SIXTY3 - v)
@@ -479,7 +470,7 @@ class PoptrieKernel(LookupKernel):
                 result[active.take(done)] = leaves.take(leaf)
                 going = np.flatnonzero(descend)
                 active = active.take(going)
-                akeys = akeys.take(going)
+                cols = [col.take(going) for col in cols]
                 bc = popcount64(vectors.take(going) & mask.take(going))
                 index = (base1.take(index.take(going)) + bc).astype(
                     np.int64

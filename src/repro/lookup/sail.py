@@ -26,8 +26,6 @@ from __future__ import annotations
 from array import array
 from typing import List
 
-import numpy as np
-
 from repro.errors import StructuralLimitError
 from repro.lookup.base import LookupStructure, NoOptions
 from repro.lookup.registry import register
@@ -159,40 +157,6 @@ class Sail(LookupStructure):
         trace.mispredict(0.15)
         trace.read(self._region32, index)
         return self.n32[index]
-
-    def _lookup_batch(self, keys: np.ndarray) -> np.ndarray:
-        from repro.lookup import kernels
-
-        if kernels.dispatch_enabled():
-            kernel = kernels.kernel_for_class(type(self))
-            if kernel is not None:
-                return kernel.lookup_batch(
-                    kernel.state_from_structure(self), keys
-                )
-        return self._lookup_batch_template(keys)
-
-    def _lookup_batch_template(self, keys: np.ndarray) -> np.ndarray:
-        """Pre-kernel numpy template, kept as the ``--no-kernel``
-        baseline and the kernels' in-repo reference implementation."""
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        bcn16 = np.frombuffer(self.bcn16, dtype=np.uint16)
-        entries = bcn16[(keys >> np.uint64(16)).astype(np.int64)]
-        result = entries.astype(np.uint32)
-        deep = (entries & np.uint16(_CHUNK_FLAG)) != 0
-        if deep.any():
-            bcn24 = np.frombuffer(self.bcn24, dtype=np.uint16)
-            ident = (entries[deep] & np.uint16(_CHUNK_FLAG - 1)).astype(np.int64) - 1
-            index = (ident << 8) | ((keys[deep] >> np.uint64(8)) & np.uint64(0xFF)).astype(np.int64)
-            entries24 = bcn24[index]
-            result[deep] = entries24
-            deeper = (entries24 & np.uint16(_CHUNK_FLAG)) != 0
-            if deeper.any():
-                n32 = np.frombuffer(self.n32, dtype=np.uint16)
-                deep_idx = np.flatnonzero(deep)[deeper]
-                ident32 = (entries24[deeper] & np.uint16(_CHUNK_FLAG - 1)).astype(np.int64) - 1
-                index32 = (ident32 << 8) | (keys[deep_idx] & np.uint64(0xFF)).astype(np.int64)
-                result[deep_idx] = n32[index32]
-        return result
 
     def memory_bytes(self) -> int:
         return 2 * (len(self.bcn16) + len(self.bcn24) + len(self.n32))

@@ -42,7 +42,8 @@ to a version-2 server without change.
 
 The IPv6 ``(hi, lo)`` split mirrors the batch-lookup key contract
 (:func:`repro.lookup.base.normalize_batch_keys`): IPv4 keys travel as
-machine words, 128-bit keys as two words.
+machine words, 128-bit keys as two words — the same two columns the
+Poptrie kernel descends (:func:`repro.lookup.kernels.split_v6`).
 
 All functions raise :class:`~repro.errors.ProtocolError` on malformed
 input; nothing here touches a socket except the two asyncio frame

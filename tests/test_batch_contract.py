@@ -12,10 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data.synth import generate_table
-from repro.data.traffic import random_addresses
+from repro.data.synth import generate_table, generate_table_v6
+from repro.data.traffic import random_addresses, random_addresses_v6
+from repro.errors import StructuralLimitError
 from repro.lookup import registry
-from repro.lookup.base import LookupStructure, normalize_batch_keys
+from repro.lookup.base import normalize_batch_keys
 
 
 class TestNormalizeBatchKeys:
@@ -75,24 +76,26 @@ def conformance_keys():
     return [int(k) for k in random_addresses(256, seed=23)]
 
 
-@pytest.mark.parametrize("name", sorted(registry.available()))
-def test_every_algorithm_accepts_all_batch_spellings(
-    name, conformance_rib, conformance_keys
-):
-    structure = registry.get(name).from_rib(conformance_rib)
-    expected = [structure.lookup(key) for key in conformance_keys]
+@pytest.fixture(scope="module")
+def conformance_rib6():
+    rib, _ = generate_table_v6(400, 8, seed=23)
+    return rib
 
-    object_keys = np.empty(len(conformance_keys), dtype=object)
-    for i, key in enumerate(conformance_keys):
-        object_keys[i] = key
-    spellings = {
-        "list": conformance_keys,
-        "tuple": tuple(conformance_keys),
-        "uint64": np.array(conformance_keys, dtype=np.uint64),
-        "uint32": np.array(conformance_keys, dtype=np.uint32),
-        "int64": np.array(conformance_keys, dtype=np.int64),
-        "object": object_keys,
-    }
+
+@pytest.fixture(scope="module")
+def conformance_keys6(conformance_rib6):
+    covered = [p.value for p, _ in list(conformance_rib6.routes())[:64]]
+    return random_addresses_v6(192, seed=23) + covered
+
+
+def _object_array(keys) -> np.ndarray:
+    out = np.empty(len(keys), dtype=object)
+    for i, key in enumerate(keys):
+        out[i] = key
+    return out
+
+
+def _assert_spellings_agree(name, structure, spellings, expected):
     for spelling, keys in spellings.items():
         results = structure.lookup_batch(keys)
         assert isinstance(results, np.ndarray), spelling
@@ -102,17 +105,72 @@ def test_every_algorithm_accepts_all_batch_spellings(
 
 
 @pytest.mark.parametrize("name", sorted(registry.available()))
+def test_every_algorithm_accepts_all_batch_spellings(
+    name, conformance_rib, conformance_keys
+):
+    structure = registry.get(name).from_rib(conformance_rib)
+    expected = [structure.lookup(key) for key in conformance_keys]
+    spellings = {
+        "list": conformance_keys,
+        "tuple": tuple(conformance_keys),
+        "uint64": np.array(conformance_keys, dtype=np.uint64),
+        "uint32": np.array(conformance_keys, dtype=np.uint32),
+        "int64": np.array(conformance_keys, dtype=np.int64),
+        "object": _object_array(conformance_keys),
+    }
+    _assert_spellings_agree(name, structure, spellings, expected)
+
+
+@pytest.mark.parametrize("name", sorted(registry.available()))
+def test_every_algorithm_accepts_all_batch_spellings_v6(
+    name, conformance_rib6, conformance_keys6
+):
+    try:
+        structure = registry.get(name).from_rib(conformance_rib6)
+    except (StructuralLimitError, ValueError):
+        pytest.skip(f"{name} does not build IPv6 tables")
+    expected = [structure.lookup(key) for key in conformance_keys6]
+    spellings = {
+        "list": conformance_keys6,
+        "tuple": tuple(conformance_keys6),
+        "object": _object_array(conformance_keys6),
+    }
+    _assert_spellings_agree(name, structure, spellings, expected)
+    # Integer numpy arrays widen to 128-bit keys too.
+    small = [key >> 64 for key in conformance_keys6]
+    _assert_spellings_agree(
+        name, structure, {"uint64": np.array(small, dtype=np.uint64)},
+        [structure.lookup(key) for key in small],
+    )
+
+
+@pytest.mark.parametrize("name", sorted(registry.available()))
 def test_every_algorithm_rejects_float_keys(name, conformance_rib):
     structure = registry.get(name).from_rib(conformance_rib)
     with pytest.raises(TypeError):
         structure.lookup_batch([1.5, 2.5])
 
 
-def test_supports_batch_reflects_override(conformance_rib):
-    vectorised = registry.get("Poptrie18").from_rib(conformance_rib)
-    assert vectorised.supports_batch()
-    # The scalar fallback in the base class is not an override.
-    scalar = registry.get("Patricia").from_rib(conformance_rib)
-    assert scalar.lookup_batch([0]).dtype == np.uint32
-    if type(scalar)._lookup_batch is LookupStructure._lookup_batch:
-        assert not scalar.supports_batch()
+#: The registry entries a kernel serves, per address width.
+KERNEL_SERVED = {
+    32: {"Poptrie0", "Poptrie16", "Poptrie18", "DIR-24-8", "SAIL",
+         "D16R", "D18R"},
+    128: {"Poptrie0", "Poptrie16", "Poptrie18"},
+}
+
+
+def test_supports_batch_reflects_override(conformance_rib, conformance_rib6):
+    """supports_batch() is true exactly when a kernel serves the
+    structure's width; everything else runs the scalar loop."""
+    for rib in (conformance_rib, conformance_rib6):
+        for name in registry.available():
+            try:
+                structure = registry.get(name).from_rib(rib)
+            except (StructuralLimitError, ValueError):
+                continue
+            served = name in KERNEL_SERVED[rib.width]
+            assert structure.supports_batch() == served, (name, rib.width)
+            engine = structure.batch_engine()
+            assert engine.startswith("kernel:") == served, (name, engine)
+            assert served or engine == "scalar", (name, engine)
+            assert structure.lookup_batch([0]).dtype == np.uint32

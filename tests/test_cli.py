@@ -128,6 +128,27 @@ class TestInfoAndBench:
                      "--repeats", "1"]) == 0
         assert "Mlps" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("ipv6", [False, True])
+    def test_bench_kernel_writes_artifact(self, ipv6, tmp_path, capsys):
+        import json
+
+        rib = str(tmp_path / "rib.txt")
+        out = str(tmp_path / "BENCH_kernels.json")
+        assert main(["generate", "--routes", "400", "-o", rib]
+                    + (["--ipv6"] if ipv6 else [])) == 0
+        assert main(["bench", rib, "--kernel", "--queries", "3000",
+                     "--repeats", "1", "--algorithm", "Poptrie16",
+                     "--algorithm", "Patricia", "--json", out]) == 0
+        payload = json.loads(open(out).read())
+        assert payload["width"] == (128 if ipv6 else 32)
+        poptrie, patricia = payload["results"]
+        assert poptrie["batch_engine"] == "kernel:poptrie"
+        assert poptrie["oracle_match"] is True
+        assert poptrie["kernel_sha256"] == poptrie["scalar_sha256"]
+        assert patricia["batch_engine"] == "scalar"
+        assert patricia["kernel_mlps"] is None
+        assert patricia["oracle_match"] is None
+
 
 class TestVerify:
     def test_verify_text_table(self, table_path, capsys):

@@ -9,8 +9,8 @@ Contract under test, registry-wide:
 - the same kernel produces identical results whether its state came
   from a live structure, a ``bytes`` image, an mmapped image file, or a
   ``SharedMemory`` segment;
-- disabling dispatch (:func:`~repro.lookup.kernels.kernels_disabled`)
-  falls back to the legacy numpy templates, which must agree too.
+- IPv6 Poptrie tables run the same kernel, descending ``(hi, lo)`` key
+  columns, in-process, over attached images and in pool workers.
 """
 
 from __future__ import annotations
@@ -58,6 +58,16 @@ def keys(rib) -> np.ndarray:
     )
 
 
+@pytest.fixture(scope="module")
+def rib6() -> Rib:
+    return make_random_rib(1200, seed=20151, width=128)
+
+
+@pytest.fixture(scope="module")
+def keys6(rib6) -> list:
+    return random_keys(3000, seed=98, width=128) + boundary_keys(rib6)
+
+
 class TestRegistrySurface:
     def test_kernel_capable_entries(self):
         capable = {
@@ -97,16 +107,6 @@ class TestScalarAgreement:
         np.testing.assert_array_equal(
             structure.lookup_batch(keys), scalar_oracle(structure, keys)
         )
-
-    @pytest.mark.parametrize("name", KERNEL_ALGORITHMS)
-    def test_template_agrees_when_dispatch_disabled(self, name, rib, keys):
-        structure = build(name, rib)
-        want = structure.lookup_batch(keys)
-        with kernels.kernels_disabled():
-            assert not kernels.dispatch_enabled()
-            assert structure.batch_engine() == "template"
-            np.testing.assert_array_equal(structure.lookup_batch(keys), want)
-        assert kernels.dispatch_enabled()
 
     @pytest.mark.parametrize("name", KERNEL_ALGORITHMS)
     def test_default_route_only(self, name, keys):
@@ -160,6 +160,35 @@ class TestScalarAgreement:
                 scalar_oracle(trie, keys),
             )
 
+    def test_poptrie_v6_config_matrix(self, rib6, keys6):
+        # s=0, s=18 and k=4/s=10 put a chunk across bit 64, so that
+        # level is cut from both words; all but k=1 end in a chunk
+        # padded past bit 128.
+        kernel = kernels.kernel_for_class(Poptrie)
+        for config in (
+            PoptrieConfig(s=0),
+            PoptrieConfig(s=18),
+            PoptrieConfig(s=16, use_leafvec=False),
+            PoptrieConfig(k=4, s=10),
+            PoptrieConfig(k=1, s=5),
+            PoptrieConfig(s=16, leaf_bits=32),
+        ):
+            trie = Poptrie.from_rib(rib6, config=config)
+            state = kernel.state_from_structure(trie)
+            np.testing.assert_array_equal(
+                kernel.lookup_batch(state, np.array(keys6, dtype=object)),
+                scalar_oracle(trie, keys6),
+            )
+
+    def test_v6_prepare_rejects_direct_beyond_64_bits(self, rib6):
+        from repro.errors import SnapshotFormatError
+
+        image = build("Poptrie16", rib6).to_image()
+        segments = {n: image.segment(n) for n in image.segment_names()}
+        meta = dict(image.meta, s=65)
+        with pytest.raises(SnapshotFormatError):
+            kernels.PoptrieKernel().prepare(meta, segments, width=128)
+
     def test_empty_batch(self, rib):
         structure = build("Poptrie18", rib)
         result = structure.lookup_batch(np.empty(0, dtype=np.uint64))
@@ -174,11 +203,14 @@ class TestImageAttachment:
     """One kernel, four state sources, identical results."""
 
     @pytest.mark.parametrize("name", ("Poptrie18", "D16R", "SAIL",
-                                      "DIR-24-8"))
-    def test_bytes_mmap_shm_agree(self, name, rib, keys, tmp_path):
+                                      "DIR-24-8", "Poptrie18-v6"))
+    def test_bytes_mmap_shm_agree(self, name, request, tmp_path):
         from multiprocessing import shared_memory
 
-        structure = build(name, rib)
+        v6 = name.endswith("-v6")
+        rib = request.getfixturevalue("rib6" if v6 else "rib")
+        keys = request.getfixturevalue("keys6" if v6 else "keys")
+        structure = build(name.removesuffix("-v6"), rib)
         want = scalar_oracle(structure, keys)
         blob = structure.to_image().to_bytes()
         from repro.parallel.image import TableImage
@@ -221,16 +253,26 @@ class TestImageAttachment:
         assert stats["name"] == structure.name
         assert bound.width == 32
 
+    def test_bound_kernel_lookup_on_v6_image(self, rib6, keys6):
+        structure = build("Poptrie18", rib6)
+        bound = kernels.attach(structure.to_image())
+        assert bound.width == 128
+        for key in keys6[:200] + [(1 << 128) - 1, 1 << 127, (1 << 64) + 1]:
+            assert bound.lookup(key) == structure.lookup(key), hex(key)
+
     def test_attach_rejects_unsupported_width(self):
-        # Poptrie builds IPv6 tables, but the uint64-lane kernel caps at
-        # 64-bit keys — attach must refuse, exactly like to_image's
-        # TypeError convention for unsupported structures.
-        rib = Rib(width=128)
-        rib.insert(Prefix.parse("2001:db8::/32"), 4)
-        image = Poptrie.from_rib(rib).to_image()
-        assert kernels.kernel_for(image) is None
+        # DXR builds IPv6 tables, but its kernel computes 32-bit keys
+        # only — attach must refuse, exactly like to_image's TypeError
+        # convention for unsupported structures.
+        class DxrV6Image:
+            kind = "structure"
+            class_path = "repro.lookup.dxr:Dxr"
+            width = 128
+
+        assert registry.get("D16R").supports_kernel
+        assert kernels.kernel_for(DxrV6Image()) is None
         with pytest.raises(TypeError):
-            kernels.attach(image)
+            kernels.attach(DxrV6Image())
 
     def test_kernel_for_ignores_foreign_kinds(self, rib):
         class FakeImage:
@@ -280,6 +322,19 @@ class TestPoolIntegration:
                                   for k in served)
         finally:
             obs.disable()
+
+    def test_v6_workers_serve_from_kernels(self, rib6, keys6):
+        from repro.parallel import PoolConfig, WorkerPool
+
+        structure = build("Poptrie18", rib6)
+        want = scalar_oracle(structure, keys6)
+        with WorkerPool(
+            structure, PoolConfig(workers=2, min_shard=64)
+        ) as pool:
+            assert set(pool.stats()["engines"].values()) == {
+                "kernel:poptrie"
+            }
+            np.testing.assert_array_equal(pool.lookup_batch(keys6), want)
 
     def test_structure_fallback_without_kernel(self, rib, keys, monkeypatch):
         # An image whose class has no registered kernel must fall back

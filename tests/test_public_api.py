@@ -84,10 +84,8 @@ EXPECTED_KERNELS = {
     # resolution + binding
     "attach", "kernel_for", "kernel_for_class",
     "register_kernel", "available_kernels",
-    # dispatch control (bench --no-kernel, template-agreement tests)
-    "dispatch_enabled", "kernels_disabled",
-    # the popcount primitive
-    "popcount64",
+    # the popcount primitive and the IPv6 (hi, lo) key split
+    "popcount64", "split_v6",
 }
 
 EXPECTED_OBS = {

@@ -1,4 +1,9 @@
-"""Tests for the numpy batch-lookup engine."""
+"""The vectorized batch path through the public surface.
+
+Poptrie's ``lookup_batch`` runs the branchless kernel for IPv4 and IPv6
+alike; these tests hold it to the scalar ``lookup`` at the popcount
+and mask boundaries, across build configs, and on 128-bit keys.
+"""
 
 import numpy as np
 import pytest
@@ -7,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from tests.conftest import make_random_rib, random_keys
 
 from repro.core.poptrie import Poptrie, PoptrieConfig
-from repro.core.vectorized import low_bits_mask, popcount64, poptrie_lookup_batch
+from repro.lookup.kernels import popcount64, split_v6
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
 
@@ -27,18 +32,38 @@ class TestPopcount64:
         assert popcount64(array).tolist() == expected
 
 
+def _first_level_trie(v: int) -> "tuple[Poptrie, list]":
+    """A k=6, s=16 trie whose first level below the direct array has
+    routes ending at chunk value ``v`` (bit 63 of the node's vector when
+    ``v == 63``), plus keys that land on, below and above that chunk."""
+    rib = Rib()
+    rib.insert(Prefix.parse("10.0.0.0/16"), 1)
+    rib.insert(Prefix((10 << 24) | (v << 10), 22, 32), 2)
+    rib.insert(Prefix((10 << 24) | (v << 10) | (1 << 9), 23, 32), 3)
+    trie = Poptrie.from_rib(rib, PoptrieConfig(s=16))
+    keys = [
+        (10 << 24) | (chunk << 10) | low
+        for chunk in {0, max(v - 1, 0), v, min(v + 1, 63), 63}
+        for low in (0, 1 << 9, (1 << 10) - 1)
+    ]
+    return trie, keys
+
+
 class TestLowBitsMask:
+    """The kernel's ``(2 << v) - 1`` popcount mask, at every chunk value."""
+
     def test_v_zero(self):
-        assert low_bits_mask(np.array([0], dtype=np.uint64))[0] == 1
+        trie, keys = _first_level_trie(0)
+        assert trie.lookup_batch(keys).tolist() == [trie.lookup(k) for k in keys]
 
     def test_v_63_no_overflow(self):
-        mask = low_bits_mask(np.array([63], dtype=np.uint64))[0]
-        assert int(mask) == (1 << 64) - 1
+        trie, keys = _first_level_trie(63)
+        assert trie.lookup_batch(keys).tolist() == [trie.lookup(k) for k in keys]
 
     @given(st.integers(min_value=0, max_value=63))
     def test_matches_scalar_formula(self, v):
-        mask = int(low_bits_mask(np.array([v], dtype=np.uint64))[0])
-        assert mask == (2 << v) - 1
+        trie, keys = _first_level_trie(v)
+        assert trie.lookup_batch(keys).tolist() == [trie.lookup(k) for k in keys]
 
 
 class TestBatchLookup:
@@ -56,20 +81,20 @@ class TestBatchLookup:
     def test_matches_scalar(self, bgp_rib, config):
         trie = Poptrie.from_rib(bgp_rib, config)
         keys = np.array(random_keys(20_000, seed=11), dtype=np.uint64)
-        batch = poptrie_lookup_batch(trie, keys)
+        batch = trie.lookup_batch(keys)
         for i in range(0, len(keys), 97):
             assert batch[i] == trie.lookup(int(keys[i]))
 
     def test_empty_batch(self, bgp_rib):
         trie = Poptrie.from_rib(bgp_rib, PoptrieConfig(s=16))
-        assert len(poptrie_lookup_batch(trie, np.array([], dtype=np.uint64))) == 0
+        assert len(trie.lookup_batch(np.array([], dtype=np.uint64))) == 0
 
     def test_all_direct_leaves(self):
         rib = Rib()
         rib.insert(Prefix.parse("0.0.0.0/0"), 3)
         trie = Poptrie.from_rib(rib, PoptrieConfig(s=16))
         keys = np.array(random_keys(100, seed=1), dtype=np.uint64)
-        assert (poptrie_lookup_batch(trie, keys) == 3).all()
+        assert (trie.lookup_batch(keys) == 3).all()
 
     def test_chunk_value_63_lane(self):
         # Exercise v == 63 (the (2 << v) - 1 overflow corner) via a route
@@ -83,24 +108,26 @@ class TestBatchLookup:
              Prefix.parse("255.255.252.1/32").value],
             dtype=np.uint64,
         )
-        out = poptrie_lookup_batch(trie, keys)
+        out = trie.lookup_batch(keys)
         assert out.tolist() == [2, 2]
 
     def test_rejects_ipv6(self):
-        rib = Rib(width=128)
-        rib.insert(Prefix.parse("2001:db8::/32"), 1)
+        # A 128-bit key never reaches the 32-bit descent truncated.
+        rib = Rib()
+        rib.insert(Prefix.parse("10.0.0.0/8"), 1)
         trie = Poptrie.from_rib(rib, PoptrieConfig(s=16))
-        with pytest.raises(ValueError):
-            poptrie_lookup_batch(trie, np.array([1], dtype=np.uint64))
+        with pytest.raises(OverflowError):
+            trie.lookup_batch([Prefix.parse("2001:db8::/32").value])
 
     def test_method_on_structure(self, bgp_rib):
         trie = Poptrie.from_rib(bgp_rib, PoptrieConfig(s=16))
-        keys = np.array(random_keys(256, seed=4), dtype=np.uint64)
-        assert (trie.lookup_batch(keys) == poptrie_lookup_batch(trie, keys)).all()
+        keys = random_keys(256, seed=4)
+        assert trie.lookup_batch(keys).tolist() == [trie.lookup(k) for k in keys]
 
     def test_structure_reports_batch_support(self, bgp_rib):
         trie = Poptrie.from_rib(bgp_rib, PoptrieConfig(s=16))
         assert trie.supports_batch()
+        assert trie.batch_engine() == "kernel:poptrie"
 
 
 @settings(max_examples=20, deadline=None)
@@ -109,7 +136,7 @@ def test_property_batch_equals_scalar(seed):
     rib = make_random_rib(60, seed=seed, width=32, max_nexthop=30)
     trie = Poptrie.from_rib(rib, PoptrieConfig(s=12))
     keys = np.array(random_keys(512, seed=seed + 1), dtype=np.uint64)
-    batch = poptrie_lookup_batch(trie, keys)
+    batch = trie.lookup_batch(keys)
     scalar = [trie.lookup(int(k)) for k in keys]
     assert batch.tolist() == scalar
 
@@ -123,7 +150,6 @@ class TestBatchLookupV6:
 
     @pytest.mark.parametrize("s", [0, 16, 18])
     def test_matches_scalar(self, s):
-        from repro.core.vectorized import poptrie_lookup_batch_v6
         from repro.data.traffic import random_addresses_v6
 
         rib = self._table()
@@ -131,7 +157,7 @@ class TestBatchLookupV6:
         keys = random_addresses_v6(2000, seed=9)
         # Mix in covered addresses so deep paths are exercised.
         keys += [p.value for p, _ in list(rib.routes())[:300]]
-        got = poptrie_lookup_batch_v6(trie, keys)
+        got = trie.lookup_batch(keys)
         for key, value in zip(keys, got):
             assert value == trie.lookup(key)
 
@@ -140,23 +166,15 @@ class TestBatchLookupV6:
         trie = Poptrie.from_rib(rib, PoptrieConfig(s=16))
         keys = [p.value for p, _ in list(rib.routes())[:64]]
         assert (trie.lookup_batch(keys) == [trie.lookup(k) for k in keys]).all()
-
-    def test_rejects_ipv4_trie(self, bgp_rib):
-        from repro.core.vectorized import poptrie_lookup_batch_v6
-
-        trie = Poptrie.from_rib(bgp_rib, PoptrieConfig(s=16))
-        with pytest.raises(ValueError):
-            poptrie_lookup_batch_v6(trie, [1])
+        assert trie.batch_engine() == "kernel:poptrie"
 
     def test_empty_batch(self):
-        from repro.core.vectorized import poptrie_lookup_batch_v6
-
         rib = self._table()
         trie = Poptrie.from_rib(rib, PoptrieConfig(s=16))
-        assert len(poptrie_lookup_batch_v6(trie, [])) == 0
+        assert len(trie.lookup_batch([])) == 0
 
     def test_split_v6(self):
-        from repro.core.vectorized import split_v6
-
-        hi, lo = split_v6([(0xABCD << 64) | 0x1234])
-        assert hi[0] == 0xABCD and lo[0] == 0x1234
+        hi, lo = split_v6([(0xABCD << 64) | 0x1234, (1 << 128) - 1, 5])
+        assert hi.dtype == lo.dtype == np.uint64
+        assert hi.tolist() == [0xABCD, (1 << 64) - 1, 0]
+        assert lo.tolist() == [0x1234, (1 << 64) - 1, 5]
