@@ -403,8 +403,7 @@ class Poptrie(LookupStructure):
         if copy:
             # Materialize private, mutable arrays — the historical
             # snapshot-load semantics.  Pre-size the allocators so the
-            # first allocation starts at offset 0 (growing a small
-            # allocator would otherwise place the block higher).
+            # first allocation starts at offset 0 without a grow.
             trie.node_alloc = BuddyAllocator(capacity=max(64, node_count))
             trie.leaf_alloc = BuddyAllocator(capacity=max(64, leaf_count))
             if node_count:

@@ -218,7 +218,7 @@ def _load_bytes_v1(blob: bytes) -> Poptrie:
     direct = take("I", (1 << s) if s else 0)
 
     # Pre-size the allocators so the first allocation starts at offset 0
-    # (growing a small allocator would otherwise place the block higher).
+    # without a grow.
     from repro.mem.buddy import BuddyAllocator
 
     trie.node_alloc = BuddyAllocator(capacity=max(64, node_count))

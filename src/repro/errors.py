@@ -20,6 +20,9 @@ one ``except ReproError`` while still matching precise categories:
                                configured threshold (internal control flow:
                                the transactional layer catches it and falls
                                back to a full rebuild)
+:class:`RestoreRefused`        an allocator restore point cannot be rolled
+                               back exactly (a block was freed since it was
+                               taken, or it is closed or superseded)
 ====================== =====================================================
 
 :class:`TableFormatError` and :class:`SnapshotFormatError` also derive from
@@ -264,4 +267,24 @@ class ReplaceCostExceeded(ReproError):
     instead.  It only ever escapes to callers who set a threshold on a bare
     :class:`~repro.core.update.UpdatablePoptrie` without the transactional
     wrapper, which is unsupported.
+    """
+
+
+class RestoreRefused(ReproError, RuntimeError):
+    """A buddy-allocator restore point cannot be rolled back exactly.
+
+    :meth:`repro.mem.buddy.BuddyAllocator.restore` undoes only the
+    allocations logged since the point.  It refuses, rather than diverging
+    silently, when a block was freed since the point (update staging never
+    frees), or when the point was already closed or superseded.
+
+    >>> from repro.mem.buddy import BuddyAllocator
+    >>> allocator = BuddyAllocator(capacity=16)
+    >>> block = allocator.alloc(4)
+    >>> point = allocator.snapshot()
+    >>> allocator.free(block)
+    >>> allocator.restore(point)
+    Traceback (most recent call last):
+        ...
+    repro.errors.RestoreRefused: 1 block(s) freed since the restore point; the allocation log cannot undo frees
     """

@@ -226,13 +226,17 @@ class Dxr(LookupStructure):
             dtype=np.uint32,
             count=len(self.chunk_bounds),
         )
-        segments = {
-            "table": self.table,
-            "starts": np.array(self.starts, dtype=np.uint64),
-            "nexthops": self.nexthops,
-            "chunk_base": chunk_base,
-            "chunk_count": chunk_count,
-        }
+        segments = {"table": self.table}
+        if self.offset_bits > 64:
+            # IPv6 range starts need up to 128 - s bits: (hi, lo) columns.
+            from repro.lookup.kernels import split_v6
+
+            segments["starts_hi"], segments["starts_lo"] = split_v6(self.starts)
+        else:
+            segments["starts"] = np.array(self.starts, dtype=np.uint64)
+        segments.update(
+            nexthops=self.nexthops, chunk_base=chunk_base, chunk_count=chunk_count
+        )
         return meta, segments
 
     @classmethod
@@ -245,7 +249,10 @@ class Dxr(LookupStructure):
             width = int(meta["width"])
             modified = bool(meta["modified"])
             table = segments["table"]
-            starts = segments["starts"]
+            if width - s > 64:
+                columns = (segments["starts_hi"], segments["starts_lo"])
+            else:
+                columns = (segments["starts"],)
             nexthops = segments["nexthops"]
             chunk_base = segments["chunk_base"]
             chunk_count = segments["chunk_count"]
@@ -254,7 +261,7 @@ class Dxr(LookupStructure):
         if (
             len(table) != 1 << s
             or table.itemsize != 4
-            or len(nexthops) != len(starts)
+            or any(len(column) != len(nexthops) for column in columns)
             or nexthops.itemsize != 2
             or len(chunk_base) != 1 << s
             or len(chunk_count) != 1 << s
@@ -263,7 +270,13 @@ class Dxr(LookupStructure):
         # ``starts`` and ``chunk_bounds`` are always materialized as
         # Python lists — the scalar path binary-searches them with
         # ``bisect`` — so only the two flat arrays attach zero-copy.
-        starts_list = starts.tolist()
+        if len(columns) == 2:
+            starts_list = [
+                (high << 64) | low
+                for high, low in zip(columns[0].tolist(), columns[1].tolist())
+            ]
+        else:
+            starts_list = columns[0].tolist()
         chunk_bounds = list(
             zip(chunk_base.tolist(), chunk_count.tolist())
         )

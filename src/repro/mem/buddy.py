@@ -15,9 +15,10 @@ buddy block recursively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
+from repro.errors import RestoreRefused
 from repro.robust.faults import fault_point
 
 
@@ -25,23 +26,25 @@ class OutOfMemory(Exception):
     """Raised when an allocation cannot be satisfied and growth is disabled."""
 
 
-@dataclass(frozen=True)
-class BuddySnapshot:
-    """An immutable restore point of a :class:`BuddyAllocator`'s state.
+@dataclass(eq=False)
+class RestorePoint:
+    """An O(1) restore point of a :class:`BuddyAllocator`.
 
-    Captured by :meth:`BuddyAllocator.snapshot` before a transactional
-    update and reinstated by :meth:`BuddyAllocator.restore` when the update
-    aborts, so a failed update can never leak or double-free blocks.
+    Taken by :meth:`BuddyAllocator.snapshot` before a transactional
+    update.  It holds the capacity order, the counters and the allocation
+    log opened at that moment — no per-block state.  While the point is
+    open every :meth:`BuddyAllocator.alloc` appends its offset to ``log``,
+    so :meth:`BuddyAllocator.restore` costs O(allocations made since the
+    point), not O(live blocks).
     """
 
     order: int
-    free_lists: tuple
-    live: tuple
     used_slots: int
     alloc_count: int
     free_count: int
     grow_count: int
-    high_water: int = 0
+    high_water: int
+    log: List[int] = field(default_factory=list)
 
 
 def _ceil_log2(n: int) -> int:
@@ -80,6 +83,8 @@ class BuddyAllocator:
         self.grow_count = 0
         #: Peak used_slots ever observed (the high-water mark obs exports).
         self.high_water = 0
+        # The open restore point, whose log records every alloc() offset.
+        self._point: RestorePoint | None = None
 
     # -- queries -------------------------------------------------------------
 
@@ -182,6 +187,8 @@ class BuddyAllocator:
                 if self.used_slots > self.high_water:
                     self.high_water = self.used_slots
                 self.alloc_count += 1
+                if self._point is not None:
+                    self._point.log.append(offset)
                 return offset
             if not self.auto_grow:
                 raise OutOfMemory(f"cannot allocate {size} slots")
@@ -204,38 +211,63 @@ class BuddyAllocator:
             order += 1
         self._free_lists[order].add(offset)
 
-    # -- transactional snapshot/restore --------------------------------------
+    # -- transactional restore points ----------------------------------------
 
-    def snapshot(self) -> BuddySnapshot:
-        """Capture the complete allocator state as a restore point."""
-        return BuddySnapshot(
+    def snapshot(self) -> RestorePoint:
+        """Open an O(1) restore point; it supersedes any open one.
+
+        From now until :meth:`restore` or :meth:`close`, every allocation
+        is logged on the point.
+        """
+        self._point = RestorePoint(
             order=self._order,
-            free_lists=tuple(frozenset(blocks) for blocks in self._free_lists),
-            live=tuple(self._live.items()),
             used_slots=self.used_slots,
             alloc_count=self.alloc_count,
             free_count=self.free_count,
             grow_count=self.grow_count,
             high_water=self.high_water,
         )
+        return self._point
 
-    def restore(self, state: BuddySnapshot) -> None:
-        """Reinstate a state captured by :meth:`snapshot`.
+    def restore(self, point: RestorePoint) -> None:
+        """Return the allocator to the state it had at ``point``.
 
-        Restores the free lists, the live-block table, the usage counters
-        and the managed capacity (a grow performed after the snapshot is
-        rolled back; the arrays an owner may have extended to match simply
-        stay larger than the capacity, which is harmless).
+        Frees the logged allocations newest-first, undoes the capacity
+        doublings made since the point (the arrays an owner extended to
+        match simply stay larger than the capacity, which is harmless),
+        resets the counters and closes the point.  Eager coalescing
+        makes the free lists come back exactly: they are determined by
+        the set of live blocks.  That argument needs the live set itself
+        to be unchanged apart from the log, so restore refuses with
+        :class:`~repro.errors.RestoreRefused` when a block was freed
+        since the point, or when the point is closed or superseded.
         """
-        self._order = state.order
-        self.capacity = 1 << state.order
-        self._free_lists = [set(blocks) for blocks in state.free_lists]
-        self._live = dict(state.live)
-        self.used_slots = state.used_slots
-        self.alloc_count = state.alloc_count
-        self.free_count = state.free_count
-        self.grow_count = state.grow_count
-        self.high_water = state.high_water
+        if self._point is not point:
+            raise RestoreRefused(
+                "restore point is closed, superseded by a newer one, or "
+                "belongs to another allocator"
+            )
+        if self.free_count != point.free_count:
+            self.close(point)
+            raise RestoreRefused(
+                f"{self.free_count - point.free_count} block(s) freed since "
+                "the restore point; the allocation log cannot undo frees"
+            )
+        for offset in reversed(point.log):
+            self.free(offset)
+        while self._order > point.order:
+            self._shrink()
+        self.used_slots = point.used_slots
+        self.alloc_count = point.alloc_count
+        self.free_count = point.free_count
+        self.grow_count = point.grow_count
+        self.high_water = point.high_water
+        self.close(point)
+
+    def close(self, point: RestorePoint) -> None:
+        """Close ``point`` without rolling back: its log stops recording."""
+        if self._point is point:
+            self._point = None
 
     # -- internals ---------------------------------------------------------
 
@@ -255,14 +287,38 @@ class BuddyAllocator:
         return None
 
     def _grow(self, new_order: int) -> None:
-        """Double the slot space until it reaches ``2^new_order`` slots."""
+        """Double the slot space until it reaches ``2^new_order`` slots.
+
+        The new upper half becomes one free block of the old capacity;
+        when the old space is entirely free the two halves coalesce, so
+        the free lists stay the canonical (maximal-block) decomposition
+        of the free space that :meth:`restore` relies on.
+        """
         while self._order < new_order:
-            # The new upper half becomes one free block of the old capacity.
             self._free_lists.append(set())
-            self._free_lists[self._order].add(self.capacity)
+            top = self._free_lists[self._order]
+            if 0 in top:
+                top.discard(0)
+                self._free_lists[self._order + 1].add(0)
+            else:
+                top.add(self.capacity)
             self._order += 1
             self.capacity = 1 << self._order
             self.grow_count += 1
+
+    def _shrink(self) -> None:
+        """Undo one doubling; the upper half must be entirely free."""
+        half = self._order - 1
+        if (1 << half) in self._free_lists[half]:
+            self._free_lists[half].discard(1 << half)
+        elif 0 in self._free_lists[self._order]:
+            self._free_lists[self._order].discard(0)
+            self._free_lists[half].add(0)
+        else:
+            raise RestoreRefused("upper half still holds live blocks")
+        self._free_lists.pop()
+        self._order = half
+        self.capacity = 1 << half
 
     # -- invariant checking (used by the property tests) ----------------------
 

@@ -12,11 +12,13 @@
   :mod:`repro.core.update`.  Every fault that can fire (allocator
   exhaustion, an exception mid-subtree-build, a structural limit) fires
   during staging, *before* anything is visible.
-- **Rollback.**  A :class:`Transaction` captures the buddy allocators'
-  state and the logical counters before the update and reinstates them if
-  staging raises; the RIB mutation is undone by its recorded inverse.
-  Because staging never writes anything a reader can see, this restores
-  the *complete* pre-update state — trie, RIB and allocators.
+- **Rollback.**  A :class:`Transaction` opens an O(1) restore point on
+  each buddy allocator and saves the logical counters before the update.
+  If staging raises, each allocator frees the blocks its point logged
+  and the counters are reinstated; the RIB mutation is undone by its
+  recorded inverse.  Because staging never writes anything a reader can
+  see, this restores the *complete* pre-update state — trie, RIB and
+  allocators — at a cost proportional to the update, not the table.
 - **Graceful degradation.**  After a failed incremental update — or when
   the update would replace more than ``rebuild_threshold`` internal nodes
   — the updater falls back to a full ``Poptrie.from_rib`` rebuild and
@@ -93,20 +95,23 @@ class StreamReport:
 class Transaction:
     """A restore point for one update against an UpdatablePoptrie.
 
-    Captures everything the staging phase can disturb: both buddy
-    allocators, the trie's logical node/leaf counters, the generation
-    counter and the update statistics.  Inverse RIB operations are
-    appended to ``rib_undo`` by the caller as it mutates the RIB.
-    ``rollback`` reinstates all of it; because staging publishes nothing,
-    readers never notice that the update was ever attempted.
+    Captures everything the staging phase can disturb: a restore point on
+    each buddy allocator (which logs the allocations staging makes), the
+    trie's logical node/leaf counters, the generation counter and the
+    update statistics.  Inverse RIB operations are appended to
+    ``rib_undo`` by the caller as it mutates the RIB.  ``rollback``
+    reinstates all of it; because staging publishes nothing, readers
+    never notice that the update was ever attempted.  The caller calls
+    ``close`` on every exit — commit, rollback and degrade — so an
+    allocation log never outlives its update.
     """
 
     def __init__(self, up: UpdatablePoptrie) -> None:
         trie = up.trie
         self.up = up
         self.trie = trie
-        self.node_state = trie.node_alloc.snapshot()
-        self.leaf_state = trie.leaf_alloc.snapshot()
+        self.node_point = trie.node_alloc.snapshot()
+        self.leaf_point = trie.leaf_alloc.snapshot()
         self.inode_count = trie.inode_count
         self.leaf_count = trie.leaf_count
         self.generation = up.generation
@@ -115,8 +120,8 @@ class Transaction:
 
     def rollback(self) -> None:
         trie = self.trie
-        trie.node_alloc.restore(self.node_state)
-        trie.leaf_alloc.restore(self.leaf_state)
+        trie.node_alloc.restore(self.node_point)
+        trie.leaf_alloc.restore(self.leaf_point)
         trie.inode_count = self.inode_count
         trie.leaf_count = self.leaf_count
         self.up.generation = self.generation
@@ -124,6 +129,12 @@ class Transaction:
         for undo in reversed(self.rib_undo):
             undo()
         self.rib_undo.clear()
+
+    def close(self) -> None:
+        """Close both restore points; points ``rollback`` already closed
+        stay closed."""
+        self.trie.node_alloc.close(self.node_point)
+        self.trie.leaf_alloc.close(self.leaf_point)
 
 
 class TransactionalPoptrie(UpdatablePoptrie):
@@ -228,6 +239,8 @@ class TransactionalPoptrie(UpdatablePoptrie):
         else:
             self.txn_stats.commits += 1
             _count_txn("commit")
+        finally:
+            txn.close()
 
     def checkpoint(self) -> str:
         """Freeze the current RIB through the attached journal.

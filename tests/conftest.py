@@ -58,6 +58,21 @@ def boundary_keys(rib: Rib) -> List[int]:
     return keys
 
 
+def allocator_state(alloc) -> tuple:
+    """The complete state of a BuddyAllocator: capacity, every live block
+    with its order, every free list and all counters."""
+    return (
+        alloc.capacity,
+        sorted(alloc._live.items()),
+        [sorted(blocks) for blocks in alloc._free_lists],
+        alloc.used_slots,
+        alloc.alloc_count,
+        alloc.free_count,
+        alloc.grow_count,
+        alloc.high_water,
+    )
+
+
 def random_keys(count: int, seed: int, width: int = 32) -> List[int]:
     rng = random.Random(seed)
     return [rng.getrandbits(width) for _ in range(count)]

@@ -3,6 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tests.conftest import allocator_state
+
+from repro.errors import RestoreRefused
 from repro.mem.buddy import BuddyAllocator, OutOfMemory
 
 
@@ -148,3 +151,93 @@ class TestInvariants:
             a.free(offset)
         a.check_invariants()
         assert a.used_slots == 0
+
+
+class TestRestorePoint:
+    """snapshot()/restore(): an O(1) point plus a log of the allocations
+    made since it, undone exactly (see docs/ROBUSTNESS.md)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        history=st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=1, max_value=20)),
+            max_size=60,
+        ),
+        staged=st.lists(st.integers(min_value=1, max_value=70), max_size=12),
+    )
+    def test_restore_returns_the_exact_state(self, history, staged):
+        a = BuddyAllocator(capacity=16)
+        live = []
+        for is_alloc, size in history:
+            if is_alloc or not live:
+                live.append(a.alloc(size))
+            else:
+                a.free(live.pop(size % len(live)))
+        before = allocator_state(a)
+        point = a.snapshot()
+        for size in staged:  # sizes up to 70 force grows past capacity 16
+            a.alloc(size)
+        a.restore(point)
+        assert allocator_state(a) == before
+        a.check_invariants()
+
+    def test_capacity_shrinks_after_rolled_back_grow(self):
+        a = BuddyAllocator(capacity=16)
+        a.alloc(8)
+        before = allocator_state(a)
+        point = a.snapshot()
+        a.alloc(8)
+        a.alloc(32)
+        assert a.capacity == 64 and a.grow_count == 2
+        a.restore(point)
+        assert a.capacity == 16 and a.grow_count == 0
+        assert allocator_state(a) == before
+
+    def test_grow_of_an_empty_space_restores(self):
+        a = BuddyAllocator(capacity=16)
+        before = allocator_state(a)
+        point = a.snapshot()
+        a.alloc(100)
+        a.restore(point)
+        assert allocator_state(a) == before
+
+    def test_refuses_after_a_free(self):
+        a = BuddyAllocator(capacity=16)
+        x = a.alloc(4)
+        point = a.snapshot()
+        a.alloc(2)
+        a.free(x)
+        with pytest.raises(RestoreRefused, match="freed since"):
+            a.restore(point)
+
+    def test_refuses_a_stale_point(self):
+        a = BuddyAllocator(capacity=16)
+        old = a.snapshot()
+        a.snapshot()  # supersedes ``old``
+        with pytest.raises(RestoreRefused, match="superseded"):
+            a.restore(old)
+        with pytest.raises(RestoreRefused, match="superseded"):
+            BuddyAllocator(capacity=16).restore(a.snapshot())
+
+    def test_refuses_a_closed_point(self):
+        a = BuddyAllocator(capacity=16)
+        point = a.snapshot()
+        a.restore(point)
+        with pytest.raises(RestoreRefused, match="closed"):
+            a.restore(point)
+        committed = a.snapshot()
+        a.close(committed)
+        with pytest.raises(RestoreRefused, match="closed"):
+            a.restore(committed)
+
+    def test_point_holds_only_the_allocation_log(self):
+        a = BuddyAllocator(capacity=1024)
+        for _ in range(200):
+            a.alloc(2)
+        point = a.snapshot()
+        assert point.log == []
+        made = [a.alloc(3) for _ in range(5)]
+        assert point.log == made
+        a.close(point)
+        a.alloc(1)  # a closed point records nothing more
+        assert len(point.log) == 5

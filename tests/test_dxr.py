@@ -12,6 +12,7 @@ from repro.mem.layout import AccessTrace
 from repro.net.fib import NO_ROUTE
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
+from repro.parallel.image import TableImage
 
 
 def rib_of(*routes, width=32):
@@ -142,6 +143,21 @@ class TestStructuralLimits:
         dxr = Dxr.from_rib(rib, s=16, modified=True)
         for key in boundary_keys(rib):
             assert dxr.lookup(key) == rib.lookup(key)
+
+    @pytest.mark.parametrize("copy", [True, False])
+    def test_ipv6_image_round_trip(self, copy):
+        # Range starts span 112 bits here, so the image stores them as
+        # (hi, lo) uint64 columns.
+        rib = make_random_rib(200, seed=5, width=128, lengths=[32, 48, 64, 96])
+        dxr = Dxr.from_rib(rib, s=16, modified=True)
+        assert max(dxr.starts) >= 1 << 64
+        image = TableImage.open(dxr.to_image().to_bytes())
+        assert "starts_hi" in image.segment_names()
+        rebuilt = Dxr.from_image(image, copy=copy)
+        assert rebuilt.starts == dxr.starts
+        assert rebuilt.to_image().fingerprint() == image.fingerprint()
+        for key in boundary_keys(rib) + random_keys(500, seed=6, width=128):
+            assert rebuilt.lookup(key) == rib.lookup(key)
 
 
 class TestMemory:

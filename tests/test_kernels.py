@@ -260,19 +260,16 @@ class TestImageAttachment:
         for key in keys6[:200] + [(1 << 128) - 1, 1 << 127, (1 << 64) + 1]:
             assert bound.lookup(key) == structure.lookup(key), hex(key)
 
-    def test_attach_rejects_unsupported_width(self):
-        # DXR builds IPv6 tables, but its kernel computes 32-bit keys
-        # only — attach must refuse, exactly like to_image's TypeError
-        # convention for unsupported structures.
-        class DxrV6Image:
-            kind = "structure"
-            class_path = "repro.lookup.dxr:Dxr"
-            width = 128
-
+    def test_attach_rejects_unsupported_width(self, rib6):
+        # DXR builds and exports IPv6 tables, but its kernel computes
+        # 32-bit keys only — attach must refuse, exactly like to_image's
+        # TypeError convention for unsupported structures.
+        image = registry.get("D16R").from_rib(rib6, modified=True).to_image()
+        assert image.width == 128
         assert registry.get("D16R").supports_kernel
-        assert kernels.kernel_for(DxrV6Image()) is None
+        assert kernels.kernel_for(image) is None
         with pytest.raises(TypeError):
-            kernels.attach(DxrV6Image())
+            kernels.attach(image)
 
     def test_kernel_for_ignores_foreign_kinds(self, rib):
         class FakeImage:

@@ -243,9 +243,9 @@ class TestAllocatorObs:
 
     def test_high_water_survives_snapshot_restore(self):
         alloc = BuddyAllocator(capacity=16)
-        x = alloc.alloc(8)
+        alloc.free(alloc.alloc(8))
         snap = alloc.snapshot()
-        alloc.free(x)
+        alloc.alloc(4)
         alloc.restore(snap)
         assert alloc.high_water == 8
 

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from tests.conftest import make_random_rib
+from tests.conftest import allocator_state, make_random_rib
 
 from repro.core.poptrie import Poptrie, PoptrieConfig
 from repro.data.updates import Update, generate_update_stream
@@ -34,8 +34,8 @@ def fingerprint(up):
     """Everything a failed update must leave untouched."""
     trie = up.trie
     return (
-        trie.node_alloc.snapshot(),
-        trie.leaf_alloc.snapshot(),
+        allocator_state(trie.node_alloc),
+        allocator_state(trie.leaf_alloc),
         trie.inode_count,
         trie.leaf_count,
         up.generation,
@@ -313,6 +313,30 @@ class TestTransactions:
         up.announce(Prefix.parse("203.0.113.0/24"), 9)
         assert up.txn_stats.threshold_rebuilds == 0
         assert up.txn_stats.commits == 1
+
+    def test_every_exit_closes_the_restore_points(self):
+        """Commit, no-op, rollback and degrade all close both allocation
+        logs, so no log outlives its update."""
+        up = self._up(fallback_rebuild=False)
+        prefix = Prefix.parse("203.0.113.0/24")
+
+        def open_points(trie):
+            return [a._point for a in (trie.node_alloc, trie.leaf_alloc)
+                    if a._point is not None]
+
+        up.announce(prefix, 9)
+        assert open_points(up.trie) == []
+        up.announce(prefix, 9)  # no structural work
+        assert open_points(up.trie) == []
+        with FaultPlan(alloc_fail_at=1):
+            with pytest.raises(InjectedFault):
+                up.announce(prefix, 7)
+        assert open_points(up.trie) == []
+        old = up.trie
+        up.rebuild_threshold = 0
+        up.announce(prefix, 5)
+        assert up.txn_stats.threshold_rebuilds == 1
+        assert open_points(old) == [] and open_points(up.trie) == []
 
     def test_persistent_fault_propagates_with_state_intact(self):
         """If the rebuild fails too, the pre-update state survives."""
