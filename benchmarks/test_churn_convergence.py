@@ -59,8 +59,7 @@ def test_churn_convergence_artifact():
             f"update wire p50 {row['updates']['wire_latency_us']['p50']:8.0f}us "
             f"p99 {row['updates']['wire_latency_us']['p99']:8.0f}us | "
             f"lookup p99 {row['lookup_during_churn_us']['p99']:7.0f}us | "
-            f"{row['rcu']['swap_rate_hz']:6.1f} swaps/s "
-            f"drain {row['rcu']['mean_drain_s'] * 1e6:6.1f}us | "
+            f"{row['rcu']['swap_rate_hz']:6.1f} swaps/s | "
             f"convergence {lag}"
         )
 
@@ -72,8 +71,10 @@ def test_churn_convergence_artifact():
         assert row["updates"]["applied"] > 0, row
         assert row["lookup"]["errors"] == 0, row
         assert row["convergence"]["observed"], row
-        assert row["rcu"]["swaps"] > 0, row
-        assert row["journal"]["fsyncs"] > 0, row
+        # The production pipeline: in-place engines publish without a
+        # handle swap, and each wire batch costs one fsync.
+        assert row["rcu"]["swaps"] == 0, row
+        assert 0 < row["journal"]["fsyncs"] < row["journal"]["appends"], row
 
     persisted = json.loads(path.read_text())
     assert persisted["scenario"] == "churn_convergence"

@@ -2,10 +2,10 @@
 
 The §4.9 microbenchmarks time updates against a quiescent trie; this
 scenario measures the *served* system under sustained churn — the shape
-production actually cares about.  A full update pipeline runs against a
-live :class:`~repro.server.service.LookupServer`:
+production actually cares about.  ``repro serve``'s own update pipeline
+feeds a live :class:`~repro.server.service.LookupServer`:
 
-    wire (OP_UPDATE) → journal fsync → engine apply → RCU publish
+    wire (OP_UPDATE) → validate → journal + one fsync → engine apply → publish
 
 while an open-loop :class:`~repro.server.loadgen.LoadGenerator` keeps
 firing lookups, so the lookup p50/p99 recorded here is the latency
@@ -13,18 +13,18 @@ firing lookups, so the lookup p50/p99 recorded here is the latency
 :func:`repro.data.updates.arrival_offsets` — steady Poisson churn or
 bursty flap storms — and the driver is itself open-loop: update batches
 fire at their scheduled instants regardless of how far the pipeline has
-fallen behind, which is what exposes journal backpressure (pending
-fsync bytes, flush stalls) and RCU drain delay.
+fallen behind, which is what exposes queueing behind the single-writer
+update lock and journal flush stalls.
 
 Four numbers summarise one run:
 
 - **update latency** p50/p99, end-to-end over the wire, plus the
-  per-stage breakdown (fsync / apply / publish) the server reports back
-  in each OP_UPDATE ack;
+  per-stage breakdown (journal / fsync / apply / publish) the server
+  reports back in each OP_UPDATE ack;
 - **lookup latency** p50/p99 during churn, from the concurrent load
   generator;
-- **RCU swap rate** and epoch-drain time from the served
-  :class:`~repro.server.handle.TableHandle`;
+- **RCU swap rate** of the served :class:`~repro.server.handle.TableHandle`
+  (engines that update in place publish without a swap);
 - **convergence lag**: after the last update is acked, a sentinel route
   is announced and lookups poll until they observe it — the time from
   ack to first observation is how stale a data-plane answer can be.
@@ -60,6 +60,7 @@ from repro.server import (
     LookupServer,
     ServerConfig,
     TableHandle,
+    UpdatePipeline,
     protocol,
 )
 from repro.server.loadgen import _Connection
@@ -102,7 +103,6 @@ async def drive_churn(
     width: int = 32,
     sentinel: str = SENTINEL_PREFIX,
     settle_timeout: float = 30.0,
-    stats_poll_s: float = 0.2,
 ) -> dict:
     """Drive one live server through a churn run; returns the result dict.
 
@@ -131,34 +131,9 @@ async def drive_churn(
     wire_us: List[float] = []
     stages_us: Dict[str, List[float]] = {}
     applied = rejected = update_errors = 0
-    max_pending_fsync = 0
     stats_before = json.loads(
         (await control.request(protocol.OP_STATS)).text
     )
-
-    stop_polling = asyncio.Event()
-
-    async def poll_backpressure() -> None:
-        """Sample journal backpressure while the run is hot; the peak
-        pending-fsync depth is the number a mean would hide."""
-        nonlocal max_pending_fsync
-        while not stop_polling.is_set():
-            try:
-                body = json.loads(
-                    (await probe.request(protocol.OP_STATS)).text
-                )
-            except Exception:
-                return
-            journal = body.get("journal") or {}
-            max_pending_fsync = max(
-                max_pending_fsync, int(journal.get("pending_fsync_bytes", 0))
-            )
-            try:
-                await asyncio.wait_for(
-                    stop_polling.wait(), timeout=stats_poll_s
-                )
-            except asyncio.TimeoutError:
-                pass
 
     async def fire_batch(batch: Sequence[Update]) -> None:
         nonlocal applied, rejected, update_errors
@@ -185,7 +160,6 @@ async def drive_churn(
             stages_us.setdefault(stage, []).append(float(elapsed))
 
     load_task = asyncio.create_task(generator.run())
-    poll_task = asyncio.create_task(poll_backpressure())
     update_tasks: List[asyncio.Task] = []
     start = loop.time()
     # Open-loop update schedule: each wire batch fires at its first
@@ -207,17 +181,10 @@ async def drive_churn(
     )
 
     report = await load_task
-    stop_polling.set()
-    await poll_task
     stats_after = json.loads((await probe.request(protocol.OP_STATS)).text)
     await asyncio.gather(control.close(), probe.close())
 
-    handle_before = stats_before.get("handle", {})
-    handle_after = stats_after.get("handle", {})
-    swaps = handle_after.get("swaps", 0) - handle_before.get("swaps", 0)
-    drain_total = handle_after.get(
-        "drain_seconds_total", 0.0
-    ) - handle_before.get("drain_seconds_total", 0.0)
+    swaps = stats_after["handle"]["swaps"] - stats_before["handle"]["swaps"]
     journal_before = stats_before.get("journal") or {}
     journal_after = stats_after.get("journal") or {}
     lookup_summary = report.to_dict(generator.config.batch)
@@ -245,21 +212,11 @@ async def drive_churn(
             "swap_rate_hz": round(swaps / churn_span, 3)
             if churn_span
             else 0.0,
-            "drain_seconds_total": round(drain_total, 6),
-            "mean_drain_s": round(drain_total / swaps, 9) if swaps else 0.0,
-            "last_drain_s": handle_after.get("last_drain_s", 0.0),
         },
         "journal": {
-            "flush_stalls": journal_after.get("flush_stalls", 0)
-            - journal_before.get("flush_stalls", 0),
-            "max_pending_fsync_bytes": max_pending_fsync,
-            "appends": journal_after.get("appends", 0)
-            - journal_before.get("appends", 0),
-            "fsyncs": journal_after.get("fsyncs", 0)
-            - journal_before.get("fsyncs", 0),
-        }
-        if journal_after
-        else None,
+            key: journal_after.get(key, 0) - journal_before.get(key, 0)
+            for key in ("flush_stalls", "appends", "fsyncs")
+        } if journal_after else None,
         "convergence": convergence,
     }
 
@@ -276,7 +233,7 @@ async def _probe_convergence(
 
     The lag from the update's ack to the first lookup returning the new
     next hop is the data plane's convergence time: for the incremental
-    engine it is one subtree surgery plus an RCU swap; for a rebuild
+    engine it is one subtree surgery published in place; for a rebuild
     fallback it is a full recompile of the table.
     """
     prefix = Prefix.parse(sentinel)
@@ -315,37 +272,6 @@ async def _probe_convergence(
     }
 
 
-def _journaled_pipeline(structure, handle: TableHandle, journal):
-    """The serve-side update pipeline for an in-process churn server.
-
-    Mirrors ``repro serve --journal``: journal-then-apply-then-publish,
-    with per-stage timings reported back in the OP_UPDATE ack so the
-    driver can attribute wire latency.  Runs on the server's update
-    worker thread, so the drain wait in ``swap`` blocks nobody.
-    """
-
-    def apply(batch):
-        t0 = time.perf_counter()
-        for update in batch:
-            journal.append(update)
-        journal.flush()
-        t1 = time.perf_counter()
-        report = structure.apply_updates(batch)
-        t2 = time.perf_counter()
-        handle.swap(structure, wait=True, timeout=30.0)
-        handle.set_seqno(journal.last_seqno)
-        t3 = time.perf_counter()
-        report["seqno"] = journal.last_seqno
-        report["stages_us"] = {
-            "fsync": round((t1 - t0) * 1e6, 1),
-            "apply": round((t2 - t1) * 1e6, 1),
-            "publish": round((t3 - t2) * 1e6, 1),
-        }
-        return report
-
-    return apply
-
-
 async def _run_engine(
     entry,
     rib,
@@ -354,7 +280,6 @@ async def _run_engine(
     update_batch: int,
     lookup: LoadGenConfig,
     keys,
-    fsync_every: int,
     settle_timeout: float,
 ) -> dict:
     from repro.robust.journal import Journal
@@ -362,13 +287,12 @@ async def _run_engine(
     structure = entry.from_rib(rib)
     handle = TableHandle(structure)
     journal_dir = tempfile.mkdtemp(prefix="repro-churn-")
-    journal = Journal(journal_dir, fsync_every=fsync_every)
+    journal = Journal(journal_dir)
     server = LookupServer(
         handle,
         ServerConfig(),
-        apply_updates=_journaled_pipeline(structure, handle, journal),
+        apply_updates=UpdatePipeline(structure, journal, handle),
     )
-    server.stats_extra = lambda: {"journal": journal.describe()}
     updates = generate_stream(rib, stream)
     offsets = arrival_offsets(stream)
     host, port = await server.start()
@@ -407,7 +331,6 @@ def run_churn_bench(
     lookup_connections: int = 2,
     lookup_batch: int = 16,
     seed: int = 52,
-    fsync_every: int = 8,
     settle_timeout: float = 120.0,
 ) -> dict:
     """Sweep registry engines through the churn scenario.
@@ -458,7 +381,6 @@ def run_churn_bench(
                     update_batch=update_batch,
                     lookup=lookup,
                     keys=keys,
-                    fsync_every=fsync_every,
                     settle_timeout=settle_timeout,
                 )
             )
@@ -487,7 +409,6 @@ def run_churn_bench(
             "lookup_rate_rps": lookup_rate,
             "lookup_connections": lookup_connections,
             "lookup_batch": lookup_batch,
-            "fsync_every": fsync_every,
             "seed": seed,
         },
         "rows": rows,

@@ -628,7 +628,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from repro.data.synth import generate_table
     from repro.data.traffic import random_addresses
     from repro.lookup.registry import standard_roster
-    from repro.net.prefix import Prefix
     from repro.robust.txn import TransactionalPoptrie
     from repro.router.pipeline import ForwardingPipeline
 
@@ -663,44 +662,27 @@ def cmd_stats(args: argparse.Namespace) -> int:
                     lookup(int(key))
                 structure.lookup_batch(keys)
 
-            # 2. Transactional updates (commit/withdraw, txn counters).
-            txn = TransactionalPoptrie(rib=aggregated_rib(rib))
-            txn.trie.enable_obs()
-            probe = Prefix.parse("198.51.100.0/24")
-            txn.announce(probe, 1)
-            txn.withdraw(probe)
-
-            # 2b. The journaled update pipeline: replay a short stream
-            # through a write-ahead journal so the update-latency
-            # histogram (repro_update_latency_us, per stage) and the
-            # journal backpressure signals (pending-fsync-bytes gauge,
-            # flush-stall counter) are populated in the dump.
+            # 2. Route updates the way `serve --journal` takes them: a
+            # short stream in 16-update messages through the update
+            # pipeline, so the txn outcome counters, the per-stage
+            # update-latency histogram and the journal backpressure
+            # signals are all in the dump.
             import tempfile
 
             from repro.data.updates import generate_stream
             from repro.robust.journal import Journal
+            from repro.server import TableHandle, UpdatePipeline
 
+            txn = TransactionalPoptrie(rib=aggregated_rib(rib))
+            txn.trie.enable_obs()
+            stream = generate_stream(txn.rib, count=120, seed=args.seed)
             with tempfile.TemporaryDirectory() as jdir:
-                journal = Journal(jdir, fsync_every=16)
-                jtxn = TransactionalPoptrie(
-                    rib=aggregated_rib(rib), journal=journal
-                )
-                stream = generate_stream(
-                    jtxn.rib, count=120, seed=args.seed
-                )
-                t0 = time.perf_counter()
-                jtxn.apply_stream(stream, on_error="skip")
-                t1 = time.perf_counter()
-                journal.flush()
-                t2 = time.perf_counter()
-                _observe_update_stages(
-                    jtxn.trie.name,
-                    {
-                        "apply": (t1 - t0) * 1e6,
-                        "fsync": (t2 - t1) * 1e6,
-                    },
-                )
-                journal.close()
+                with Journal(jdir) as journal:
+                    pipeline = UpdatePipeline(
+                        txn, journal, TableHandle(txn.trie)
+                    )
+                    for i in range(0, len(stream), 16):
+                        pipeline.apply(stream[i:i + 16])
 
             # 3. The forwarding pipeline (ring occupancy, latency, drops).
             if fib is not None:
@@ -736,30 +718,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _observe_update_stages(table: str, stages_us: dict) -> None:
-    """Mirror one update batch's per-stage latencies into the
-    ``repro_update_latency_us`` histogram (no-op while observability is
-    off).  The server core records ``stage="total"`` for the same batch;
-    together they give the wire → fsync → apply → publish breakdown."""
-    from repro import obs
-
-    reg = obs.registry()
-    for stage, elapsed_us in stages_us.items():
-        reg.histogram(
-            "repro_update_latency_us",
-            "Route-update batch latency by pipeline stage.",
-            buckets=obs.LATENCY_US_BUCKETS,
-            table=table,
-            stage=stage,
-        ).observe(elapsed_us)
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve a lookup table over TCP (see docs/SERVER.md)."""
     import asyncio
 
     from repro import obs
-    from repro.server import LookupServer, ServerConfig, TableHandle
+    from repro.server import (
+        LookupServer, ServerConfig, TableHandle, UpdatePipeline,
+    )
 
     path = _resolve_table(args)
     if path is None and not args.journal:
@@ -821,56 +787,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         routes = f"{routes}, {args.workers} workers"
     else:
         handle = TableHandle(structure)
-    apply_updates = None
-    if txn is not None:
-        if journal is not None:
-            handle.set_seqno(journal.applied_seqno)
-
-        def apply_updates(updates):
-            # Runs in a worker thread, serialised by the server's update
-            # lock.  Journal-then-apply, then flush so the batch is
-            # durable (and visible to replication tailers) before the
-            # acknowledgement goes out.  Stage timings feed the
-            # repro_update_latency_us histogram and ride back to the
-            # client in the report, so the churn harness can split
-            # engine-apply cost from fsync and RCU-publish cost.
-            t0 = time.perf_counter()
-            report = txn.apply_stream(updates, on_error="skip")
-            t1 = time.perf_counter()
-            journal.flush()
-            t2 = time.perf_counter()
-            swapped = False
-            if pool is not None:
-                # Shared-memory workers serve a frozen image: an applied
-                # batch must be republished to the pool (RCU generation
-                # swap across every worker), then the handle flips to
-                # the fresh view.
-                if report.applied:
-                    handle.swap(
-                        pool.publish_structure(txn.trie), wait=False
-                    )
-                    swapped = True
-            elif txn.trie is not handle.structure:
-                # Degraded to a full rebuild: swap the fresh object in.
-                handle.swap(txn.trie, wait=False)
-                swapped = True
-            t3 = time.perf_counter()
-            handle.set_seqno(journal.applied_seqno)
-            stages_us = {
-                "apply": (t1 - t0) * 1e6,
-                "fsync": (t2 - t1) * 1e6,
-                "publish": (t3 - t2) * 1e6,
-            }
-            _observe_update_stages(handle.name, stages_us)
-            return {
-                "applied": report.applied,
-                "rejected": report.rejected,
-                "seqno": journal.applied_seqno,
-                "swapped": swapped,
-                "stages_us": {
-                    k: round(v, 3) for k, v in stages_us.items()
-                },
-            }
     server = LookupServer(
         handle,
         ServerConfig(
@@ -880,10 +796,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_wait_us=args.max_wait_us,
         ),
         rebuild=rebuild,
-        apply_updates=apply_updates,
+        apply_updates=(
+            UpdatePipeline(txn, journal, handle, pool=pool)
+            if txn is not None else None
+        ),
     )
-    if journal is not None:
-        server.stats_extra = lambda: {"journal": journal.describe()}
 
     async def _main() -> None:
         import signal
@@ -938,9 +855,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if pool is not None:
             pool.close()
         if journal is not None:
-            # Records appended with fsync_every > 1 may still sit in the
-            # stream buffer: SIGTERM must not lose acknowledged updates.
-            journal.flush()
             journal.close()
     if args.metrics:
         print(obs.registry().render())
@@ -976,19 +890,19 @@ def _recover_for_serve(args: argparse.Namespace, table_path: Optional[str]):
     to recover; when the journal holds state, it wins over ``--table``
     (the journal is the authority on what was durably committed).
 
-    Returns ``(txn, journal, routes_text)``: the transactional engine
-    stays attached to the *open* journal so OP_UPDATE batches journal
-    then apply, and the caller owns flushing + closing it on shutdown.
+    Returns ``(txn, journal, routes_text)``: the update pipeline journals
+    through the *open* journal before the engine applies, and the caller
+    owns flushing + closing it on shutdown.
     """
     from repro.robust.journal import Journal, recover
     from repro.robust.txn import TransactionalPoptrie
 
-    journal = Journal(args.journal, fsync_every=args.fsync_every)
+    journal = Journal(args.journal)
     fresh = journal.last_seqno == 0 and journal.checkpoint_seqno == 0
     if fresh and table_path is not None:
         rib = tableio.load_table(table_path)
         journal.checkpoint(rib)
-        txn = TransactionalPoptrie(width=rib.width, rib=rib, journal=journal)
+        txn = TransactionalPoptrie(width=rib.width, rib=rib)
         print(
             f"journal {args.journal}: fresh; seeded from {table_path} "
             f"({len(rib)} routes, initial checkpoint written)"
@@ -998,8 +912,7 @@ def _recover_for_serve(args: argparse.Namespace, table_path: Optional[str]):
         result = recover(args.journal)
         rib = result.rib
         txn = result.trie
-        journal = Journal(args.journal, fsync_every=args.fsync_every)
-        txn.journal = journal  # reattach: live updates append here
+        journal = Journal(args.journal)
         summary = result.describe()
         print(
             f"journal {args.journal}: recovered {summary['routes']} routes "
@@ -1563,8 +1476,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--journal", metavar="DIR",
                    help="recover startup state from this route-update "
                         "journal (fresh directory + --table seeds it)")
-    p.add_argument("--fsync-every", type=int, default=1,
-                   help="journal fsync batching (default 1 = every append)")
     p.add_argument("--repl-port", type=int, default=None, metavar="PORT",
                    help="with --journal: also publish the WAL to replicas "
                         "on this port (0 = ephemeral)")

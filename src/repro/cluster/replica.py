@@ -8,10 +8,11 @@ One :class:`Replica` is a full lookup node.  It
    LookupServer` behind an RCU :class:`~repro.server.handle.TableHandle`
    — readers never notice replication happening,
 3. **follows** a primary's replication channel: every shipped record is
-   verified (seqno continuity + session chain CRC), appended to the
-   replica's *own* journal (so its sequence numbers stay in lockstep
-   with the primary's and survive its own crashes), and applied through
-   the same transactional update engine the primary uses, and
+   verified (seqno continuity + session chain CRC), then appended to
+   the replica's *own* journal (so its sequence numbers stay in lockstep
+   with the primary's and survive its own crashes) and applied through
+   the same :class:`~repro.server.pipeline.UpdatePipeline` the primary
+   uses, and
 4. **publishes** its own journal in turn, so a promoted replica is
    immediately a primary other replicas can retarget to — promotion is
    a role flip, not a rebuild.
@@ -46,6 +47,7 @@ from repro.robust.journal import Journal, recover
 from repro.robust.txn import TransactionalPoptrie
 from repro.server import protocol
 from repro.server.handle import TableHandle
+from repro.server.pipeline import UpdatePipeline
 from repro.server.service import LookupServer, ServerConfig
 
 
@@ -95,6 +97,7 @@ class Replica:
         self.journal: Optional[Journal] = None
         self.handle: Optional[TableHandle] = None
         self.server: Optional[LookupServer] = None
+        self.pipeline: Optional[UpdatePipeline] = None
         self.publisher: Optional[replication.ReplicationPublisher] = None
 
         self.records_applied = 0
@@ -132,9 +135,11 @@ class Replica:
         )
         self.txn = result.trie
         self.journal = Journal(self.directory, fsync_every=self.fsync_every)
-        self.txn.journal = self.journal
         self.handle = TableHandle(self.txn.trie, name=self.name)
-        self.handle.set_seqno(self.journal.applied_seqno)
+        self.pipeline = UpdatePipeline(
+            self.txn, self.journal, self.handle,
+            checkpoint_every=self.checkpoint_every,
+        )
         self.server = LookupServer(
             self.handle,
             self.server_config
@@ -193,39 +198,14 @@ class Replica:
     # -- the write path (primary role only) ----------------------------------
 
     def _apply_updates(self, updates) -> dict:
-        """OP_UPDATE hook: journal + apply one batch (primary only)."""
+        """OP_UPDATE hook (primary only): the ack follows the message's
+        fsync, so it is durable and visible to replication tailers."""
         if self.role != "primary":
             raise ClusterError(
                 "replica is read-only; send updates to the primary"
             )
         with self._mutate:
-            report = self.txn.apply_stream(updates, on_error="skip")
-            # Acknowledged means durable *and* shippable: the replication
-            # tailer only sees bytes that reached the segment file, so
-            # flush past any fsync_every batching before replying.
-            if self.journal is not None:
-                self.journal.flush()
-            self._publish_applied()
-        return {
-            "applied": report.applied,
-            "rejected": report.rejected,
-            "seqno": self.applied_seqno,
-        }
-
-    def _publish_applied(self) -> None:
-        """Publish the update engine's current structure to readers."""
-        if self.txn.trie is not self.handle.structure:
-            # The engine degraded to a full rebuild: a fresh object must
-            # be swapped in.  In-place incremental updates need no swap —
-            # they publish with one atomic write inside the structure.
-            self.handle.swap(self.txn.trie, wait=False)
-        self.handle.set_seqno(self.applied_seqno)
-        if (
-            self.checkpoint_every
-            and self.journal.last_seqno - self.journal.checkpoint_seqno
-            >= self.checkpoint_every
-        ):
-            self.txn.checkpoint()
+            return self.pipeline(updates)
 
     # -- the follow loop (replica role) --------------------------------------
 
@@ -335,10 +315,8 @@ class Replica:
             with self._mutate:
                 rib = tableio.rib_from_image(TableImage.open(image))
                 self.journal.install_checkpoint(rib, seqno)
-                return TransactionalPoptrie(
-                    width=rib.width, rib=rib, journal=self.journal
-                )
-        self.txn = await asyncio.to_thread(rebuild)
+                return TransactionalPoptrie(width=rib.width, rib=rib)
+        self.txn = self.pipeline.engine = await asyncio.to_thread(rebuild)
         self.handle.swap(self.txn.trie, wait=False)
         self.handle.set_seqno(seqno)
         self._chain = zlib.crc32(image)
@@ -359,23 +337,18 @@ class Replica:
                 f"{self.applied_seqno}"
             )
         update = decode_update(payload)
-        try:
-            with self._mutate:
-                if update.kind == "A":
-                    self.txn.announce(update.prefix, update.nexthop)
-                else:
-                    self.txn.withdraw(update.prefix)
-        except ReproError as error:
+        with self._mutate:
+            report = self.pipeline.apply_shipped(update)
+        if report.rejected:
             # The primary journaled this record, so it applied there;
-            # a rejection here means our state differs from the
+            # refusing it here means our state differs from the
             # primary's at this seqno.  Do not guess — re-sync.
             self.records_rejected += 1
             self._diverged(
-                f"update engine rejected shipped record {seqno}: {error}"
+                f"shipped record {seqno} refused: {report.errors[0][1]}"
             )
         self._chain = expected_chain
         self.records_applied += 1
-        self._publish_applied()
 
     def _observe_heartbeat(self, watermark: int) -> int:
         """Flush our journal; returns the durable seqno (the ack value)."""

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core import builder
 from repro.core.poptrie import DIRECT_LEAF, Poptrie, PoptrieConfig
@@ -45,6 +45,27 @@ from repro.errors import ReplaceCostExceeded, UpdateRejectedError
 from repro.net.fib import NO_ROUTE
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib, RibNode
+
+
+def check_rib_prefix(rib: Rib, prefix: Prefix) -> None:
+    """Refuse anything but a prefix of ``rib``'s width."""
+    if not isinstance(prefix, Prefix):
+        raise UpdateRejectedError(f"not a prefix: {prefix!r}")
+    if prefix.width != rib.width:
+        raise UpdateRejectedError(
+            f"prefix width {prefix.width} does not match "
+            f"RIB width {rib.width}"
+        )
+
+
+def check_rib_withdraw(rib: Rib, prefix: Prefix, routed: Dict = None) -> None:
+    """Refuse withdrawing a prefix ``rib`` does not route.  ``routed``
+    overrides the RIB (prefix -> routed after earlier updates)."""
+    check_rib_prefix(rib, prefix)
+    if not (routed or {}).get(prefix, rib.get(prefix) != NO_ROUTE):
+        raise UpdateRejectedError(
+            f"cannot withdraw {prefix.text}: not in the RIB"
+        )
 
 
 @dataclass
@@ -184,7 +205,7 @@ class UpdatablePoptrie:
 
     def check_announce(self, prefix: Prefix, fib_index: int) -> None:
         """Validate an announcement; raises ``UpdateRejectedError``."""
-        self._check_prefix(prefix)
+        check_rib_prefix(self.rib, prefix)
         if isinstance(fib_index, bool) or not isinstance(fib_index, int):
             raise UpdateRejectedError(
                 f"next-hop index must be an integer, got {fib_index!r}"
@@ -197,20 +218,7 @@ class UpdatablePoptrie:
 
     def check_withdraw(self, prefix: Prefix) -> None:
         """Validate a withdrawal; raises ``UpdateRejectedError``."""
-        self._check_prefix(prefix)
-        if self.rib.get(prefix) == NO_ROUTE:
-            raise UpdateRejectedError(
-                f"cannot withdraw {prefix.text}: not in the RIB"
-            )
-
-    def _check_prefix(self, prefix: Prefix) -> None:
-        if not isinstance(prefix, Prefix):
-            raise UpdateRejectedError(f"not a prefix: {prefix!r}")
-        if prefix.width != self.rib.width:
-            raise UpdateRejectedError(
-                f"prefix width {prefix.width} does not match "
-                f"RIB width {self.rib.width}"
-            )
+        check_rib_withdraw(self.rib, prefix)
 
     # -- update machinery ------------------------------------------------------
 

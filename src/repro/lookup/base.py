@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
@@ -351,20 +350,9 @@ class LookupStructure(abc.ABC):
                 "bind_rib(rib) (the registry's from_rib does this "
                 "automatically)"
             )
-        started = time.perf_counter()
         report = self._apply_updates(list(updates))
         self._update_batches += 1
         self._updates_applied += int(report.get("applied", 0))
-        from repro import obs
-
-        if obs.enabled():
-            obs.registry().histogram(
-                "repro_update_latency_us",
-                "Route-update batch latency by pipeline stage.",
-                buckets=obs.LATENCY_US_BUCKETS,
-                table=self.name,
-                stage="apply",
-            ).observe((time.perf_counter() - started) * 1e6)
         return report
 
     def _apply_updates(self, updates: list) -> Dict[str, object]:

@@ -12,10 +12,10 @@ threaded through the library:
     mid-subtree-build, modelling an exception while the replacement subtree
     is being constructed on the side.
 ``update``
-    :meth:`repro.robust.txn.TransactionalPoptrie.apply_stream` — the Nth
-    update message is *corrupted* (bad kind, negative or overflowing next
-    hop, chosen by the plan's seeded RNG) instead of raising, modelling a
-    malformed BGP message on the wire.
+    ``TransactionalPoptrie.apply_stream`` and ``UpdatePipeline`` (before
+    it journals) — the Nth update is *corrupted* (bad kind, negative or
+    overflowing next hop, chosen by the plan's seeded RNG) instead of
+    raising, modelling a malformed BGP message on the wire.
 ``snapshot``
     :func:`repro.core.serialize.save` / ``dump_bytes`` — the emitted blob
     is truncated by ``truncate_snapshot`` bytes, modelling a partial write

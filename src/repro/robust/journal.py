@@ -60,16 +60,17 @@ interesting instant and assert recovery is exact.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import struct
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.data import tableio
 from repro.data.updates import Update
-from repro.errors import JournalCorrupt, JournalGap
+from repro.errors import InjectedFault, JournalCorrupt, JournalGap
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
 from repro.robust import faults
@@ -144,6 +145,12 @@ def decode_update(payload: bytes) -> Update:
 
 def _frame(payload: bytes) -> bytes:
     return _RECORD.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 @dataclass
@@ -302,6 +309,11 @@ class Journal:
         #: 10 ms is ~2 spinning-disk seeks — anything beyond it means the
         #: device is queueing and update latency is about to follow.
         self.stall_threshold_s = 0.010
+        #: Duration of the most recent fsync (seconds).
+        self.last_fsync_s = 0.0
+        #: Set by a torn write (a modelled crash) or a batch that could not
+        #: be cut back out durably; refuses appends, like a dead process.
+        self.crashed = False
         os.makedirs(directory, exist_ok=True)
         self._recover_append_position()
 
@@ -338,6 +350,10 @@ class Journal:
         self._segment_path = path
 
     def _ensure_stream(self) -> None:
+        if self.crashed:
+            raise JournalCorrupt(
+                f"{self.directory}: crashed mid-write; reopen to recover"
+            )
         if self._stream is not None:
             return
         if self._segment_path is not None:
@@ -359,37 +375,53 @@ class Journal:
         / ``torn-journal`` faults); the caller must treat any failure as
         "this update did not happen".
         """
-        faults.fault_point("journal")
-        payload = encode_update(update)
-        record = _frame(payload)
         self._ensure_stream()
         if self._stream_bytes >= self.segment_bytes:
             self._rotate()
-        torn = faults.torn_journal_write(record)
-        if torn is not None:
-            # Model a crash mid-write: the partial record reaches the
-            # file, then the process "dies" (the injected fault).  The
-            # journal object is unusable from here on, like the process.
-            self._stream.write(torn)
-            self._stream.flush()
-            os.fsync(self._stream.fileno())
-            from repro.errors import InjectedFault
-
-            raise InjectedFault(
-                f"torn journal write ({len(torn)}/{len(record)} bytes)"
-            )
+        record = self._framed(update)
         self._stream.write(record)
-        self.last_seqno += 1
-        self.stats.appends += 1
-        self.stats.bytes_written += len(record)
-        self._stream_bytes += len(record)
-        self._unsynced += 1
-        self._unsynced_bytes += len(record)
-        self._count("repro_journal_appends_total")
-        self._count("repro_journal_bytes_total", len(record))
+        self._count_appended(1, len(record))
         self._gauge_pending()
         if self.fsync_every and self._unsynced >= self.fsync_every:
             self.flush()
+        return self.last_seqno
+
+    def append_batch(self, updates: Sequence[Update]) -> int:
+        """Group commit: one unbuffered write, one fsync; returns the last
+        sequence number.  A lock keeps :class:`JournalTailer` readers out
+        until the fsync is done.  If the write or the fsync fails, the
+        segment is cut back durably (else the journal is :attr:`crashed`)
+        and nothing is counted."""
+        self._ensure_stream()
+        if self._stream_bytes >= self.segment_bytes:
+            self._rotate()
+        frames: List[bytes] = []
+        for update in updates:
+            frames.append(self._framed(update, frames))
+        if not frames:
+            return self.last_seqno
+        blob = b"".join(frames)
+        self._stream.flush()  # cadence-buffered records go first
+        fd = self._stream.fileno()
+        mark = self._stream_bytes
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        try:
+            try:
+                _write_all(fd, blob)
+                self._fsync()
+            except BaseException:
+                try:
+                    os.ftruncate(fd, mark)
+                    os.fsync(fd)
+                except OSError:
+                    self.crashed = True  # the segment's tail is unknown
+                    raise
+                raise
+        finally:
+            fcntl.flock(fd, fcntl.LOCK_UN)
+        self._count_appended(len(frames), len(blob))
+        self._unsynced = self._unsynced_bytes = 0
+        self._gauge_pending()
         return self.last_seqno
 
     def flush(self) -> int:
@@ -399,24 +431,53 @@ class Journal:
         that is ``last_seqno`` itself, which is exactly the value a
         replica acks upstream for the quorum write path.
         """
-        if self._stream is None or self._unsynced == 0:
-            if self._stream is not None:
-                self._stream.flush()
-            return self.last_seqno
-        self._stream.flush()
+        if self._stream is not None:
+            self._stream.flush()
+            if self._unsynced:
+                self._fsync()
+                self._unsynced = self._unsynced_bytes = 0
+                self._gauge_pending()
+        return self.last_seqno
+
+    def _fsync(self) -> None:
+        """The timed, counted fsync of the open segment."""
         faults.fault_point("fsync")
         started = time.perf_counter()
         os.fsync(self._stream.fileno())
-        stalled = time.perf_counter() - started > self.stall_threshold_s
+        self.last_fsync_s = time.perf_counter() - started
         self.stats.fsyncs += 1
-        self._unsynced = 0
-        self._unsynced_bytes = 0
         self._count("repro_journal_fsyncs_total")
-        if stalled:
+        if self.last_fsync_s > self.stall_threshold_s:
             self.stats.flush_stalls += 1
             self._count("repro_journal_flush_stalls_total")
-        self._gauge_pending()
-        return self.last_seqno
+
+    def _count_appended(self, records: int, nbytes: int) -> None:
+        self.last_seqno += records
+        self.stats.appends += records
+        self.stats.bytes_written += nbytes
+        self._stream_bytes += nbytes
+        self._unsynced += records
+        self._unsynced_bytes += nbytes
+        self._count("repro_journal_appends_total", records)
+        self._count("repro_journal_bytes_total", nbytes)
+
+    def _framed(self, update: Update, before: Sequence[bytes] = ()) -> bytes:
+        """``update``'s record, past the ``journal`` and ``torn-journal``
+        fault points.  A torn write models a crash mid-write: the
+        ``before`` records and part of this one reach the file, then the
+        process "dies" (the injected fault)."""
+        faults.fault_point("journal")
+        record = _frame(encode_update(update))
+        torn = faults.torn_journal_write(record)
+        if torn is None:
+            return record
+        self._stream.write(b"".join(before) + torn)
+        self._stream.flush()
+        os.fsync(self._stream.fileno())
+        self.crashed = True
+        raise InjectedFault(
+            f"torn journal write ({len(torn)}/{len(record)} bytes)"
+        )
 
     def _rotate(self) -> None:
         self.flush()
@@ -439,46 +500,7 @@ class Journal:
         Returns the checkpoint path.
         """
         self.flush()
-        seqno = self.last_seqno
-        final = os.path.join(self.directory, _checkpoint_name(seqno))
-        tmp = final + ".tmp"
-        with open(tmp, "wb") as stream:
-            tableio.save_table_image(rib, stream)
-            stream.flush()
-            os.fsync(stream.fileno())
-        try:
-            faults.fault_point("checkpoint")
-        except Exception:
-            os.unlink(tmp)
-            raise
-        os.replace(tmp, final)
-        self._fsync_directory()
-        # The snapshot is durable: every segment record is <= seqno by
-        # construction, so all segments (and older checkpoints) are dead.
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
-        checkpoints, segments = _scan(self.directory)
-        for _, path in segments:
-            os.unlink(path)
-        for number, path in checkpoints:
-            if number != seqno:
-                os.unlink(path)
-        self._segment_path = None
-        self.checkpoint_seqno = seqno
-        self.stats.checkpoints += 1
-        self._count("repro_journal_checkpoints_total")
-        return final
-
-    def _fsync_directory(self) -> None:
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform without dir fds
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        return self._install(rib, self.last_seqno, fault=True)
 
     def install_checkpoint(self, rib: Rib, seqno: int) -> str:
         """Adopt an externally supplied snapshot as the journal's new base.
@@ -494,14 +516,31 @@ class Journal:
         if seqno < 0:
             raise ValueError("checkpoint seqno must be >= 0")
         self.close()
+        return self._install(rib, seqno)
+
+    def _install(self, rib: Rib, seqno: int, fault: bool = False) -> str:
+        """Write ``rib`` as the checkpoint covering ``seqno``, then drop
+        every segment and older checkpoint (``fault`` arms the
+        ``checkpoint`` fault point before the rename)."""
         final = os.path.join(self.directory, _checkpoint_name(seqno))
         tmp = final + ".tmp"
         with open(tmp, "wb") as stream:
             tableio.save_table_image(rib, stream)
             stream.flush()
             os.fsync(stream.fileno())
+        if fault:
+            try:
+                faults.fault_point("checkpoint")
+            except Exception:
+                os.unlink(tmp)
+                raise
         os.replace(tmp, final)
         self._fsync_directory()
+        # The snapshot is durable: every segment record is <= seqno by
+        # construction, so all segments (and older checkpoints) are dead.
+        if self._stream is not None:
+            self._stream.close()
+            self._stream = None
         checkpoints, segments = _scan(self.directory)
         for _, path in segments:
             os.unlink(path)
@@ -509,11 +548,20 @@ class Journal:
             if number != seqno:
                 os.unlink(path)
         self._segment_path = None
-        self.checkpoint_seqno = seqno
-        self.last_seqno = seqno
+        self.checkpoint_seqno = self.last_seqno = seqno
         self.stats.checkpoints += 1
         self._count("repro_journal_checkpoints_total")
         return final
+
+    def _fsync_directory(self) -> None:
+        try:
+            fd = os.open(self.directory, os.O_RDONLY)
+        except OSError:  # pragma: no cover - platform without dir fds
+            return
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
     # -- lifecycle / introspection ------------------------------------------
 
@@ -827,6 +875,9 @@ class JournalTailer:
         """Parse complete records appended to the current segment."""
         try:
             with open(self._path, "rb") as stream:
+                # Shared lock: a group commit in flight holds it
+                # exclusively until its fsync, or its cut, is done.
+                fcntl.flock(stream.fileno(), fcntl.LOCK_SH)
                 stream.seek(self._offset)
                 blob = stream.read()
         except FileNotFoundError:

@@ -91,6 +91,11 @@ class StreamReport:
     def total(self) -> int:
         return self.applied + self.rejected
 
+    def refuse(self, position: int, error: BaseException) -> None:
+        """Record message ``position`` as rejected by ``error``."""
+        self.rejected += 1
+        self.errors.append((position, f"{type(error).__name__}: {error}"))
+
 
 class Transaction:
     """A restore point for one update against an UpdatablePoptrie.
@@ -191,8 +196,7 @@ class TransactionalPoptrie(UpdatablePoptrie):
             else:
                 raise UpdateRejectedError(f"unknown update kind {kind!r}")
         except UpdateRejectedError:
-            self.txn_stats.rejected += 1
-            _count_txn("rejected")
+            self.count_rejected()
             raise
         if self.journal is not None:
             # Journal-then-publish: the durable record must exist before
@@ -289,6 +293,11 @@ class TransactionalPoptrie(UpdatablePoptrie):
 
     # -- stream replay --------------------------------------------------------
 
+    def count_rejected(self) -> None:
+        """Account one update refused before it touched any state."""
+        self.txn_stats.rejected += 1
+        _count_txn("rejected")
+
     def apply_stream(self, updates: Iterable, on_error: str = "raise") -> StreamReport:
         """Apply a BGP-style update stream transactionally.
 
@@ -305,32 +314,32 @@ class TransactionalPoptrie(UpdatablePoptrie):
         report = StreamReport()
         for position, update in enumerate(updates, 1):
             update = faults.mangle_update(update)
-            degradations = (
-                self.txn_stats.fallback_rebuilds + self.txn_stats.threshold_rebuilds
-            )
             try:
                 try:
                     validate_update(update)
                 except UpdateRejectedError as error:
-                    self.txn_stats.rejected += 1
-                    _count_txn("rejected")
+                    self.count_rejected()
                     raise UpdateRejectedError(
                         f"message {position}: {error}"
                     ) from error
-                if update.kind == "A":
-                    self.announce(update.prefix, update.nexthop)
-                else:
-                    self.withdraw(update.prefix)
+                self._apply_validated(update, report)
             except (ReproError, OutOfMemory) as error:
-                report.rejected += 1
-                report.errors.append((position, f"{type(error).__name__}: {error}"))
+                report.refuse(position, error)
                 if on_error == "raise":
                     raise
-            else:
-                report.applied += 1
-                if (
-                    self.txn_stats.fallback_rebuilds
-                    + self.txn_stats.threshold_rebuilds
-                ) > degradations:
-                    report.degraded += 1
         return report
+
+    def _apply_validated(self, update, report: StreamReport) -> None:
+        """Apply one update that already passed the ``update`` fault point
+        and :func:`validate_update`, counting it in ``report``; a failure
+        raises, rolled back."""
+        stats = self.txn_stats
+        degradations = stats.fallback_rebuilds + stats.threshold_rebuilds
+        if update.kind == "A":
+            self.announce(update.prefix, update.nexthop)
+        else:
+            self.withdraw(update.prefix)
+        report.applied += 1
+        report.degraded += (
+            stats.fallback_rebuilds + stats.threshold_rebuilds > degradations
+        )

@@ -12,6 +12,8 @@ engines, publication-safe updates, metrics — into a running service:
   server that coalesces concurrent in-flight requests into one
   ``lookup_batch`` call per event-loop tick (the paper's Section 2
   batching/latency trade-off as a knob: ``max_batch``/``max_wait_us``).
+- :mod:`repro.server.pipeline` — :class:`UpdatePipeline`, the one
+  OP_UPDATE write path (validate, journal + one fsync, apply, publish).
 - :mod:`repro.server.loadgen` — :class:`LoadGenerator`, an open-loop
   async client with Poisson/uniform arrival schedules and latency
   percentiles.
@@ -36,6 +38,7 @@ or in-process::
 from repro.server import protocol
 from repro.server.handle import TableHandle, TableVersion
 from repro.server.loadgen import LoadGenConfig, LoadGenerator, LoadReport
+from repro.server.pipeline import UpdatePipeline, UpdateReport
 from repro.server.service import LookupServer, ServerConfig, ServerStats
 
 __all__ = [
@@ -44,6 +47,8 @@ __all__ = [
     "ServerStats",
     "TableHandle",
     "TableVersion",
+    "UpdatePipeline",
+    "UpdateReport",
     "LoadGenerator",
     "LoadGenConfig",
     "LoadReport",

@@ -51,6 +51,7 @@ from repro.errors import ProtocolError
 from repro.robust import faults
 from repro.server import protocol
 from repro.server.handle import TableHandle
+from repro.server.pipeline import observe_update_latency
 
 
 class _DeadlineExceeded(Exception):
@@ -143,12 +144,9 @@ class LookupServer:
     it in — the CLI wires it to the registry entry of the served
     algorithm).  ``apply_updates`` is an optional callable taking a
     sequence of :class:`repro.data.updates.Update` and returning a
-    JSON-ready dict (at least ``applied``/``rejected``); the OP_UPDATE
-    opcode runs it in a worker thread, one batch at a time, and swaps
-    the handle afterwards if the callable changed the served structure.
-    The CLI's ``serve --journal`` mode wires it to the journaled
-    transactional trie, turning the primary into the cluster's single
-    write point.
+    JSON-ready dict (at least ``applied``/``rejected``) — in practice an
+    :class:`~repro.server.pipeline.UpdatePipeline`; the OP_UPDATE opcode
+    runs it in a worker thread, one message at a time.
     """
 
     def __init__(
@@ -167,11 +165,6 @@ class LookupServer:
         #: (attached post-construction by the serve CLI / Replica, which
         #: create the publisher after the server).
         self.quorum = None
-        #: Optional zero-argument callable merged into :meth:`describe`
-        #: (and therefore the OP_STATS wire body) — the serve CLI hooks
-        #: the journal's backpressure snapshot in here so remote churn
-        #: drivers can read fsync/stall counters over the wire.
-        self.stats_extra = None
         self._update_lock: Optional[asyncio.Lock] = None
         self.stats = ServerStats()
         self._pending: deque = deque()
@@ -471,7 +464,11 @@ class LookupServer:
         self.stats.updates_applied += int(report.get("applied", 0))
         self.stats.updates_rejected += int(report.get("rejected", 0))
         self._count("repro_server_updates_total", kind="applied")
-        self._observe_update_latency(started)
+        # The whole message server-side: the wait for the update lock
+        # plus every pipeline stage.
+        observe_update_latency(
+            self.handle.name, "total", (time.perf_counter() - started) * 1e6
+        )
         # Durability policy (``serve --min-insync N``): the batch is
         # journaled and applied locally by now; hold the client's ack
         # until the configured replica quorum has acked the seqno.
@@ -642,8 +639,9 @@ class LookupServer:
     # -- observability -------------------------------------------------------
 
     def describe(self) -> dict:
-        """Server + handle stats as one JSON-ready dict (OP_STATS body)."""
+        """Server, handle and journal stats: the OP_STATS body."""
         structure = self.handle.structure
+        journal = getattr(self.apply_updates, "journal", None)
         return {
             "structure": getattr(structure, "name", type(structure).__name__),
             "width": getattr(structure, "width", 32),
@@ -677,7 +675,7 @@ class LookupServer:
             "quorum": (
                 self.quorum.describe() if self.quorum is not None else None
             ),
-        } | (self.stats_extra() if self.stats_extra is not None else {})
+        } | ({"journal": journal.describe()} if journal is not None else {})
 
     def _count_shed(self, reason: str) -> None:
         from repro import obs
@@ -731,21 +729,4 @@ class LookupServer:
             "Server-side request latency (decode to response encode).",
             buckets=obs.LATENCY_US_BUCKETS,
             table=self.handle.name,
-        ).observe(elapsed_us)
-
-    def _observe_update_latency(self, start: float) -> None:
-        """One OP_UPDATE batch finished its local apply: record the
-        end-to-end server-side latency (queue for the single-writer
-        lock + journal append/fsync + engine apply + RCU publish) under
-        ``stage="total"``; the serve closure records the per-stage
-        breakdown under the same histogram name."""
-        from repro import obs
-
-        elapsed_us = (time.perf_counter() - start) * 1e6
-        obs.registry().histogram(
-            "repro_update_latency_us",
-            "Route-update batch latency by pipeline stage.",
-            buckets=obs.LATENCY_US_BUCKETS,
-            table=self.handle.name,
-            stage="total",
         ).observe(elapsed_us)

@@ -59,8 +59,8 @@ EXPECTED_PARALLEL = {
 
 EXPECTED_SERVER = {
     "LookupServer", "ServerConfig", "ServerStats", "TableHandle",
-    "TableVersion", "LoadGenerator", "LoadGenConfig", "LoadReport",
-    "protocol",
+    "TableVersion", "UpdatePipeline", "UpdateReport", "LoadGenerator",
+    "LoadGenConfig", "LoadReport", "protocol",
 }
 
 EXPECTED_CLUSTER = {
