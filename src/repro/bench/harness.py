@@ -1,8 +1,6 @@
 """Lookup-rate measurement.
 
-The standard algorithm roster lives in :mod:`repro.lookup.registry`;
-``standard_roster``/``build_structures``/``STANDARD_ALGORITHMS`` are still
-importable from here for now, with a :class:`DeprecationWarning`.
+The standard algorithm roster lives in :mod:`repro.lookup.registry`.
 
 Rates are reported in Mlps (million lookups per second) as in the paper.
 Two engines are measured:
@@ -23,7 +21,6 @@ fall) are the reproduction target; see EXPERIMENTS.md.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -122,22 +119,3 @@ def measure_compile_time(
         best = min(best, time.perf_counter() - start)
     assert structure is not None
     return structure, best
-
-
-#: Roster names that moved to :mod:`repro.lookup.registry` (kept importable
-#: from here for one deprecation cycle).
-_MOVED = ("STANDARD_ALGORITHMS", "standard_roster", "build_structures")
-
-
-def __getattr__(name: str):
-    if name in _MOVED:
-        warnings.warn(
-            f"repro.bench.harness.{name} moved to repro.lookup.registry; "
-            "update the import",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.lookup import registry
-
-        return getattr(registry, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

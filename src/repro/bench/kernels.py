@@ -1,14 +1,10 @@
 """Kernel-vs-scalar measurement: the ``BENCH_kernels.json`` numbers.
 
-One structure, one key stream, three batch paths timed against each
-other:
+One structure, one key stream, two paths timed against each other:
 
 - **scalar** — per-key ``lookup()`` calls (the oracle; also the source
-  of the result fingerprint the kernel must match);
-- **generic template** — the per-key loop wrapped as a batch call
-  (:func:`~repro.lookup.base.scalar_batch`, what a structure without a
-  kernel runs): the baseline the kernel speedup headline is quoted
-  against;
+  of the result fingerprint the kernel must match, and the baseline the
+  kernel speedup is quoted against);
 - **kernel** — the branchless gather kernel from
   :mod:`repro.lookup.kernels`, through the structure's ``lookup_batch``.
 
@@ -49,12 +45,12 @@ def kernel_comparison(
     chunk: int = 1 << 16,
     reference_keys: int = 20_000,
 ) -> Dict[str, object]:
-    """Measure the scalar, generic-template and kernel paths for
-    ``structure`` over ``keys``.
+    """Measure the scalar and kernel paths for ``structure`` over
+    ``keys``.
 
-    The slow per-key paths (scalar, generic template) are timed over the
-    first ``reference_keys`` keys only — at full-table scale they are
-    ~100× slower than the kernel, and a capped sample times them just as
+    The slow per-key scalar path is timed over the first
+    ``reference_keys`` keys only — at full-table scale it is ~100×
+    slower than the kernel, and a capped sample times it just as
     accurately.  The kernel sees the full stream.  The scalar *results*,
     however, are computed over the full stream untimed: they are the
     oracle fingerprint.
@@ -66,13 +62,9 @@ def kernel_comparison(
     lookup = structure.lookup
     oracle_sha = _sha256(scalar_batch(lookup, keys))
 
-    # Scalar + generic-template rates over the reference sample.
+    # Scalar rate over the reference sample.
     best_scalar = min(
         _time_pass(lambda c: [lookup(int(k)) for k in c], ref, chunk)
-        for _ in range(repeats)
-    )
-    best_generic = min(
-        _time_pass(lambda c: scalar_batch(lookup, c), ref, chunk)
         for _ in range(repeats)
     )
 
@@ -86,7 +78,7 @@ def kernel_comparison(
         kernel_mlps = len(keys) / best_kernel / 1e6
         kernel_sha = _sha256(structure.lookup_batch(keys))
 
-    generic_mlps = len(ref) / best_generic / 1e6
+    scalar_mlps = len(ref) / best_scalar / 1e6
     return {
         "name": structure.name,
         "batch_engine": structure.batch_engine(),
@@ -94,12 +86,10 @@ def kernel_comparison(
         "memory_bytes": structure.memory_bytes(),
         "queries": len(keys),
         "reference_queries": len(ref),
-        "scalar_mlps": len(ref) / best_scalar / 1e6,
-        "generic_template_mlps": generic_mlps,
+        "scalar_mlps": scalar_mlps,
         "kernel_mlps": kernel_mlps,
-        # Kernel speedup over the generic per-key batch loop.
-        "speedup_vs_template": (
-            None if kernel_mlps is None else kernel_mlps / generic_mlps
+        "speedup_vs_scalar": (
+            None if kernel_mlps is None else kernel_mlps / scalar_mlps
         ),
         "scalar_sha256": oracle_sha,
         "kernel_sha256": kernel_sha,

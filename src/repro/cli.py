@@ -43,17 +43,14 @@ class _UsageError(ValueError):
 
 
 def _snapshot_kind(path: str) -> Optional[str]:
-    """``"structure"`` for a compiled snapshot (RPIMG001 image or legacy
-    POPTRIE1 blob), ``"rib"`` for a frozen routing-table image, ``None``
-    for anything else (i.e. a text table)."""
+    """``"structure"`` for a compiled snapshot, ``"rib"`` for a frozen
+    routing-table image (both RPIMG001), ``None`` for anything else
+    (i.e. a text table)."""
     from repro.parallel import image as image_mod
 
     with open(path, "rb") as stream:
-        head = stream.read(8)
-    magic = image_mod.sniff_magic(head)
-    if magic == "legacy":
-        return "structure"
-    if magic != "image":
+        head = stream.read(len(image_mod.MAGIC))
+    if head != image_mod.MAGIC:
         return None
     with open(path, "rb") as stream:
         return image_mod.TableImage.open(stream.read()).kind
@@ -467,8 +464,8 @@ def _bench_geoip(args: argparse.Namespace) -> int:
 
 
 def _bench_kernels(args: argparse.Namespace) -> int:
-    """``bench --kernel``: scalar vs generic template vs branchless
-    kernel, all measured in one process (min-of-N — see
+    """``bench --kernel``: scalar vs branchless kernel, both measured
+    in one process (min-of-N — see
     :mod:`repro.bench.kernels`).  Keys follow the table's width: the
     xorshift32 pattern for IPv4, Section 4.10's 2000::/8 pattern for
     IPv6.  ``--json`` writes the rows as ``BENCH_kernels.json`` (the CI
@@ -494,8 +491,7 @@ def _bench_kernels(args: argparse.Namespace) -> int:
     else:
         keys = random_addresses(args.queries, seed=args.seed)
     table = Table(
-        ["Structure", "KiB", "scalar", "template", "kernel", "×template",
-         "oracle"],
+        ["Structure", "KiB", "scalar", "kernel", "×scalar", "oracle"],
         title=(
             f"batch engines over {len(rib)} routes "
             f"({args.queries} queries, Mlps, min of {args.repeats})"
@@ -504,14 +500,13 @@ def _bench_kernels(args: argparse.Namespace) -> int:
     rows = []
     for name, structure in roster.items():
         if structure is None:
-            table.add_row([name] + [None] * 6)
+            table.add_row([name] + [None] * 5)
             continue
         row = kernel_comparison(structure, keys, repeats=args.repeats)
         rows.append(row)
         table.add_row([
             name, row["memory_bytes"] / 1024, row["scalar_mlps"],
-            row["generic_template_mlps"], row["kernel_mlps"],
-            row["speedup_vs_template"],
+            row["kernel_mlps"], row["speedup_vs_scalar"],
             {True: "ok", False: "MISMATCH", None: "-"}[row["oracle_match"]],
         ])
     print(table.render())
@@ -1430,8 +1425,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "workers instead of the roster comparison "
                         "(the real Figure 8)")
     p.add_argument("--kernel", action="store_true",
-                   help="measure scalar vs generic-template vs branchless-"
-                        "kernel rates per algorithm, in one process")
+                   help="measure scalar vs branchless-kernel rates per "
+                        "algorithm, in one process")
     p.add_argument("--geoip", action="store_true",
                    help="run the GeoIP value-plane scenario (synthetic "
                         "country-code table; raw vs aggregated builds)")

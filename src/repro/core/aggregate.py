@@ -38,9 +38,9 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.net.fib import NO_ROUTE
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib, RibNode
+from repro.net.values import NO_ROUTE
 
 #: Summary sentinel: the subtree maps addresses to ≥ 2 distinct next hops.
 _MIXED = -1

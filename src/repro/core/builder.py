@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, Union
 
-from repro.net.fib import NO_ROUTE
 from repro.net.rib import RibNode
+from repro.net.values import NO_ROUTE
 from repro.robust.faults import fault_point
 
 

@@ -22,18 +22,18 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core import builder
-from repro.errors import StructuralLimitError
+from repro.errors import SnapshotFormatError, StructuralLimitError
 from repro.lookup.base import LookupStructure, StructureConfig
 from repro.lookup.registry import register
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.fib import NO_ROUTE
 from repro.net.rib import Rib
+from repro.net.values import NO_ROUTE
 from repro.obs.tracing import span
 
 #: Most-significant-bit tag of a direct-pointing entry: set ⇒ the remaining
@@ -344,13 +344,11 @@ class Poptrie(LookupStructure):
     def _image_state(self):
         """Compacted arrays + scalars for :meth:`LookupStructure.to_image`.
 
-        Reuses the serializer's remap so images are always emitted in
-        the tight live-block order a fresh compile would produce — two
-        compiles of equal RIBs yield byte-identical images, which makes
-        ``TableImage.fingerprint()`` a table identity.
+        Emitted through :func:`_compact_state`, so images always come
+        out in the tight live-block order a fresh compile would produce —
+        two compiles of equal RIBs yield byte-identical images, which
+        makes ``TableImage.fingerprint()`` a table identity.
         """
-        from repro.core.serialize import _compact_state
-
         node_count, leaf_count, root, arrays = _compact_state(self)
         meta = {
             "k": self.k,
@@ -366,8 +364,6 @@ class Poptrie(LookupStructure):
 
     @classmethod
     def _from_image_state(cls, meta, segments, *, copy: bool) -> "Poptrie":
-        from repro.errors import SnapshotFormatError
-
         try:
             config = PoptrieConfig(
                 k=int(meta["k"]),
@@ -449,8 +445,6 @@ class Poptrie(LookupStructure):
             trie._leaf_region = trie.memmap.resize_region(
                 "poptrie.leaves", max(leaf_count, 1)
             )
-
-        from repro.core.serialize import validate
 
         validate(trie)
         return trie
@@ -589,6 +583,151 @@ class Poptrie(LookupStructure):
             base1 = self.base1[index]
             for rank in range(vector.bit_count()):
                 stack.append(base1 + rank)
+
+
+# -- image compaction and validation --------------------------------------
+
+
+def _remap(trie: Poptrie) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Old-index → compact-index maps for reachable nodes and leaves."""
+    node_map: Dict[int, int] = {}
+    leaf_map: Dict[int, int] = {}
+    k_slots = 1 << trie.k
+
+    order = []
+    roots = (
+        [entry for entry in trie.direct if not entry & DIRECT_LEAF]
+        if trie.s
+        else [trie.root_index]
+    )
+    stack = list(dict.fromkeys(roots))
+    seen = set(stack)
+    while stack:
+        index = stack.pop()
+        order.append(index)
+        vector = trie.vec[index]
+        base1 = trie.base1[index]
+        for rank in range(vector.bit_count()):
+            child = base1 + rank
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+
+    # Nodes first: keep each node's children contiguous by assigning child
+    # blocks as whole runs.
+    for index in order:
+        node_map.setdefault(index, len(node_map))
+        vector = trie.vec[index]
+        count = vector.bit_count()
+        if count:
+            base1 = trie.base1[index]
+            for rank in range(count):
+                node_map.setdefault(base1 + rank, len(node_map))
+    for index in order:
+        if trie.config.use_leafvec:
+            leaf_count = trie.lvec[index].bit_count()
+        else:
+            leaf_count = k_slots - trie.vec[index].bit_count()
+        base0 = trie.base0[index]
+        for offset in range(leaf_count):
+            leaf_map.setdefault(base0 + offset, len(leaf_map))
+    return node_map, leaf_map
+
+
+def _compact_state(trie: Poptrie) -> Tuple[int, int, int, Dict[str, array]]:
+    """Compacted copies of a trie's live arrays, in live-block order.
+
+    Indices are remapped so a trie fragmented by incremental updates
+    (buddy holes) exports into the tight layout a fresh compile would
+    produce.  Returns ``(node_count, leaf_count, root_index, arrays)`` with
+    ``arrays`` keyed ``vec``/``lvec``/``base0``/``base1``/``leaves``/
+    ``direct``.
+    """
+    node_map, leaf_map = _remap(trie)
+    node_count = len(node_map)
+    leaf_count = len(leaf_map)
+
+    vec = array("Q", bytes(8 * node_count))
+    lvec = array("Q", bytes(8 * node_count))
+    base0 = array("I", bytes(4 * node_count))
+    base1 = array("I", bytes(4 * node_count))
+    leaf_code = "H" if trie.config.leaf_bits == 16 else "I"
+    leaves = array(leaf_code, bytes(trie.config.leaf_bytes * leaf_count))
+    for old, new in node_map.items():
+        vec[new] = trie.vec[old]
+        lvec[new] = trie.lvec[old]
+        old_children = trie.vec[old].bit_count()
+        base1[new] = node_map[trie.base1[old]] if old_children else 0
+        if trie.config.use_leafvec:
+            old_leaves = trie.lvec[old].bit_count()
+        else:
+            old_leaves = (1 << trie.k) - old_children
+        base0[new] = leaf_map[trie.base0[old]] if old_leaves else 0
+    for old, new in leaf_map.items():
+        leaves[new] = trie.leaves[old]
+
+    direct = array("I")
+    if trie.s:
+        direct = array("I", bytes(4 << trie.s))
+        for i, entry in enumerate(trie.direct):
+            direct[i] = entry if entry & DIRECT_LEAF else node_map[entry]
+
+    root = node_map.get(trie.root_index, 0) if not trie.s else 0
+    arrays = {
+        "vec": vec,
+        "lvec": lvec,
+        "base0": base0,
+        "base1": base1,
+        "leaves": leaves,
+        "direct": direct,
+    }
+    return node_count, leaf_count, root, arrays
+
+
+def validate(trie: Poptrie) -> None:
+    """Structural self-check; raises :class:`SnapshotFormatError` on violation.
+
+    Verifies that every reachable node/leaf index is in bounds, that
+    leafvec runs are well-formed (every leaf slot has a run start at or
+    below it — Algorithm 2 never underflows), and that direct entries
+    point at sane targets.
+    """
+    node_limit = len(trie.vec)
+    leaf_limit = len(trie.leaves)
+    k_slots = 1 << trie.k
+
+    roots = (
+        [entry for entry in trie.direct if not entry & DIRECT_LEAF]
+        if trie.s
+        else [trie.root_index]
+    )
+    seen = set()
+    stack = list(dict.fromkeys(roots))
+    while stack:
+        index = stack.pop()
+        if index in seen:
+            continue
+        seen.add(index)
+        if index >= node_limit:
+            raise SnapshotFormatError(f"node index {index} out of bounds")
+        vector = trie.vec[index]
+        leafvec = trie.lvec[index]
+        children = vector.bit_count()
+        if children:
+            if trie.base1[index] + children > node_limit:
+                raise SnapshotFormatError(f"child block of node {index} overflows")
+            stack.extend(trie.base1[index] + i for i in range(children))
+        if trie.config.use_leafvec:
+            leaf_count = leafvec.bit_count()
+            for v in range(k_slots):
+                if not (vector >> v) & 1 and not leafvec & ((2 << v) - 1):
+                    raise SnapshotFormatError(
+                        f"node {index}: leaf slot {v} has no run start"
+                    )
+        else:
+            leaf_count = k_slots - children
+        if leaf_count and trie.base0[index] + leaf_count > leaf_limit:
+            raise SnapshotFormatError(f"leaf block of node {index} overflows")
 
 
 # The paper's evaluated variants (Table 2/Figure 9): compiled from the

@@ -42,9 +42,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.core import builder
 from repro.core.poptrie import DIRECT_LEAF, Poptrie, PoptrieConfig
 from repro.errors import ReplaceCostExceeded, UpdateRejectedError
-from repro.net.fib import NO_ROUTE
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib, RibNode
+from repro.net.values import NO_ROUTE
 
 
 def check_rib_prefix(rib: Rib, prefix: Prefix) -> None:

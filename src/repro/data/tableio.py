@@ -29,7 +29,7 @@ Two on-disk representations of a RIB:
 
 - The binary ``RPIMG001`` image format of :mod:`repro.parallel.image`
   (:func:`rib_to_image` / :func:`rib_from_image` /
-  :func:`save_table_image`) — the blessed persistence surface shared
+  :func:`save_table_image`) — the persistence surface shared
   with compiled lookup structures.  Journal checkpoints use it; it is
   checksummed and typically an order of magnitude faster to parse.
 
@@ -40,8 +40,6 @@ snapshot was written in.
 
 from __future__ import annotations
 
-import io
-import warnings
 from typing import BinaryIO, TextIO, Union
 
 import numpy as np
@@ -354,48 +352,3 @@ def _load_table_image(path: str) -> Rib:
     except SnapshotFormatError as exc:
         raise TableFormatError(f"bad table image: {exc}") from exc
     return rib_from_image(image)
-
-
-# ---------------------------------------------------------------------------
-# deprecated string helpers (PEP 562 shims)
-# ---------------------------------------------------------------------------
-
-
-def _dumps_table(rib: Rib) -> str:
-    buffer = io.StringIO()
-    save_table(rib, buffer)
-    return buffer.getvalue()
-
-
-def _loads_table(text: str) -> Rib:
-    return load_table(io.StringIO(text))
-
-
-#: Deprecated module attributes: name -> (implementation, migration advice).
-_DEPRECATED = {
-    "dumps_table": (
-        _dumps_table,
-        "save_table(rib, io.StringIO()) — or save_table_image for the "
-        "binary image format",
-    ),
-    "loads_table": (_loads_table, "load_table(io.StringIO(text))"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        impl, advice = _DEPRECATED[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    warnings.warn(
-        f"repro.data.tableio.{name} is deprecated; use {advice}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return impl
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_DEPRECATED))

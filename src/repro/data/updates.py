@@ -299,26 +299,3 @@ def replay_updates(
             target.withdraw(update.prefix)
         n += 1
     return n
-
-
-#: Renamed in PR 10: the module-level helper is now ``replay_updates``,
-#: freeing the ``apply_updates`` name for the registry-wide structure
-#: method.  The old spelling resolves with a DeprecationWarning.
-_RENAMED = {"apply_updates": "replay_updates"}
-
-
-def __getattr__(name: str):
-    if name in _RENAMED:
-        import warnings
-
-        new = _RENAMED[name]
-        warnings.warn(
-            f"repro.data.updates.{name} is deprecated; "
-            f"use repro.data.updates.{new}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return globals()[new]
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

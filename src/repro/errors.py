@@ -88,14 +88,11 @@ class SnapshotFormatError(ReproError, ValueError):
     """A binary FIB snapshot is not loadable (truncated, corrupted, bad
     magic, CRC mismatch, or structurally invalid after decode).
 
-    :data:`repro.core.serialize.CorruptSnapshot` is an alias of this class,
-    kept for callers written before the taxonomy existed.
-
     >>> from repro.parallel.image import structure_from_bytes
-    >>> structure_from_bytes(b"POPTRIE1 but truncated")
+    >>> structure_from_bytes(b"not a table image")
     Traceback (most recent call last):
         ...
-    repro.errors.SnapshotFormatError: snapshot truncated
+    repro.errors.SnapshotFormatError: bad magic
     """
 
 

@@ -36,8 +36,6 @@ straight off zero-copy ``TableImage`` segment views — the data plane's
 hot path (docs/KERNELS.md).
 """
 
-import warnings
-
 from repro.lookup import kernels, registry
 from repro.lookup.base import (
     LookupStructure,
@@ -74,20 +72,3 @@ __all__ = [
     "BloomLpm",
     "Lulea",
 ]
-
-#: Names that historically lived in repro.bench.harness and now resolve
-#: here; importing them from this package forwards to the registry with a
-#: deprecation warning so old call sites keep working for one cycle.
-_MOVED = ("STANDARD_ALGORITHMS", "standard_roster", "build_structures")
-
-
-def __getattr__(name: str):
-    if name in _MOVED:
-        warnings.warn(
-            f"repro.lookup.{name} is provided by repro.lookup.registry; "
-            "import it from there",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(registry, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

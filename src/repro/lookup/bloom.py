@@ -23,8 +23,8 @@ from typing import Dict, List, Optional
 from repro.lookup.base import LookupStructure, StructureConfig
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.fib import NO_ROUTE
 from repro.net.rib import Rib
+from repro.net.values import NO_ROUTE
 
 ENTRY_BYTES = 12
 _FILTER_INSTRUCTIONS = 4

@@ -27,8 +27,8 @@ from typing import Dict, List, Optional
 from repro.lookup.base import LookupStructure, NoOptions
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.fib import NO_ROUTE
 from repro.net.rib import Rib
+from repro.net.values import NO_ROUTE
 
 #: Hash-table entry: key (up to 16 bytes), BMP index, chain pointer.
 ENTRY_BYTES = 16

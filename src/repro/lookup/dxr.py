@@ -33,8 +33,8 @@ from repro.errors import StructuralLimitError
 from repro.lookup.base import LookupStructure, StructureConfig
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.fib import NO_ROUTE
 from repro.net.rib import Rib
+from repro.net.values import NO_ROUTE
 
 _DIRECT_FLAG = 1 << 31
 

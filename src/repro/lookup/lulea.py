@@ -32,8 +32,8 @@ from repro.errors import StructuralLimitError
 from repro.lookup.base import LookupStructure, NoOptions
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.fib import NO_ROUTE
 from repro.net.rib import Rib, RibNode
+from repro.net.values import NO_ROUTE
 
 #: Items with this bit set point at a next-level chunk id.
 _CHUNK_FLAG = 1 << 15

@@ -23,9 +23,9 @@ from typing import List, Optional, Tuple
 from repro.lookup.base import LookupStructure, NoOptions
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.fib import NO_ROUTE
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
+from repro.net.values import NO_ROUTE
 
 #: Node accounting: bit index, two child pointers, route list head.
 NODE_BYTES = 28

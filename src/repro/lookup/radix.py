@@ -16,8 +16,8 @@ from typing import Dict
 from repro.lookup.base import LookupStructure, NoOptions
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.fib import NO_ROUTE
 from repro.net.rib import NODE_BYTES, Rib
+from repro.net.values import NO_ROUTE
 
 #: Per-node work: bit extract, compare, branch, pointer chase.
 _NODE_INSTRUCTIONS = 4

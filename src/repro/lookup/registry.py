@@ -23,8 +23,7 @@ Consumers resolve entries by name:
 - :func:`available` -> all registered names (registration order);
 - :func:`standard_roster` / :func:`build_structures` -> the paper's
   Figure 9 comparison roster, built from one RIB with the paper's
-  aggregation policy (canonical home of what ``bench.harness`` used to
-  hand-roll; the old imports still work through a deprecation shim).
+  aggregation policy.
 """
 
 from __future__ import annotations

@@ -30,8 +30,8 @@ from repro.errors import StructuralLimitError
 from repro.lookup.base import LookupStructure, NoOptions
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.fib import NO_ROUTE
 from repro.net.rib import Rib
+from repro.net.values import NO_ROUTE
 
 _CHUNK_FLAG = 1 << 15
 MAX_CHUNKS = 1 << 15

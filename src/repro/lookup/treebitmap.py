@@ -28,8 +28,8 @@ from typing import List, Optional, Tuple
 from repro.lookup.base import LookupStructure, StructureConfig
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.fib import NO_ROUTE
 from repro.net.rib import Rib, RibNode
+from repro.net.values import NO_ROUTE
 
 
 class _TmpNode:

@@ -7,8 +7,8 @@ is compiled from:
 - :mod:`repro.net.prefix` — the :class:`~repro.net.prefix.Prefix` value type.
 - :mod:`repro.net.values` — the typed value plane: :class:`ValueTable`
   side-tables (country codes, ACL classes, next hops...) whose dense ids
-  are what lookup structures store in their leaves.  The FIB is now the
-  ``"nexthop"``-kinded table (:mod:`repro.net.fib` keeps shims).
+  are what lookup structures store in their leaves.  The FIB is the
+  ``"nexthop"``-kinded table.
 - :mod:`repro.net.rib` — the binary radix tree holding the RIB, which is the
   source of truth that Poptrie and all baseline structures compile from
   (paper, Section 3: "the routes are preserved in a separate routing table").

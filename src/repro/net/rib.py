@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Tuple
 
-from repro.net.fib import NO_ROUTE
 from repro.net.prefix import Prefix
+from repro.net.values import NO_ROUTE
 
 #: Bytes we account per radix node: two child pointers, a parent/route word
 #: and the route index — comparable to the C implementation the paper

@@ -20,9 +20,7 @@ The model:
   payloads and provides the segment codec (for
   :class:`~repro.parallel.image.TableImage` travel) and the text codec
   (for the ``# repro-values`` table-snapshot directives).
-- :class:`Fib` is now simply the ``"nexthop"``-kinded :class:`ValueTable`;
-  its historical module home :mod:`repro.net.fib` keeps deprecation
-  shims.
+- :class:`Fib` is simply the ``"nexthop"``-kinded :class:`ValueTable`.
 
 Lookup structures never see payloads: ids flow RIB → leaves → kernels
 unchanged, and resolution happens at the edge

@@ -4,9 +4,8 @@ Two layers (see docs/PARALLEL.md for the full story):
 
 - :mod:`repro.parallel.image` — :class:`TableImage`, the versioned,
   checksummed, zero-copy export of a lookup structure's backing arrays,
-  and the blessed persistence functions (:func:`save_structure` /
-  :func:`load_structure`) the legacy ``repro.core.serialize`` entry
-  points now shim to.
+  and the persistence functions (:func:`save_structure` /
+  :func:`load_structure`).
 - :mod:`repro.parallel.pool` — :class:`WorkerPool`, which places an
   image in ``multiprocessing.shared_memory``, attaches N worker
   processes without copying, shards batches across them with ordered

@@ -33,10 +33,9 @@ Segments start on 64-byte boundaries so that attached numpy views are
 cache-line aligned, matching the alignment story told in
 ``repro.mem.layout``.
 
-This module is also the blessed persistence surface: the historical
-``repro.core.serialize.save/load`` entry points are deprecation shims
-over :func:`save_structure` / :func:`load_structure`, which still read
-(but no longer write) the legacy ``POPTRIE1`` format.
+This module is also the persistence surface: :func:`save_structure` /
+:func:`load_structure` write and read compiled tables as ``RPIMG001``
+images, the one snapshot format.
 """
 
 from __future__ import annotations
@@ -402,28 +401,19 @@ def structure_to_bytes(structure) -> bytes:
 
 
 def structure_from_bytes(blob: bytes, *, copy: bool = True):
-    """Load a structure from a binary snapshot, old or new.
-
-    Accepts both the ``RPIMG001`` image format (written by
-    :func:`save_structure`) and the legacy ``POPTRIE1`` format (written
-    by pre-image releases of ``repro.core.serialize``).
-    """
-    if blob[: len(MAGIC)] == MAGIC:
-        return image_to_structure(TableImage.open(blob), copy=copy)
-    from repro.core import serialize
-
-    if blob[: len(serialize.MAGIC)] == serialize.MAGIC:
-        return serialize._load_bytes_v1(blob)
-    raise SnapshotFormatError("bad magic")
+    """Load a structure from an ``RPIMG001`` blob."""
+    if blob[: len(MAGIC)] != MAGIC:
+        raise SnapshotFormatError("bad magic")
+    return image_to_structure(TableImage.open(blob), copy=copy)
 
 
 def save_structure(structure, destination: Union[str, BinaryIO]) -> int:
     """Write a structure snapshot to a path or stream; returns byte count.
 
-    The one blessed snapshot writer.  Passes the blob through the
-    ``snapshot`` fault-injection point so an armed
+    The one snapshot writer.  Passes the blob through the ``snapshot``
+    fault-injection point so an armed
     :class:`~repro.robust.faults.FaultPlan` with ``truncate_snapshot``
-    models a torn write exactly as the legacy writer did.
+    models a torn write.
     """
     from repro.robust import faults
 
@@ -437,19 +427,9 @@ def save_structure(structure, destination: Union[str, BinaryIO]) -> int:
 
 
 def load_structure(source: Union[str, BinaryIO], *, copy: bool = True):
-    """Read a structure snapshot (``RPIMG001`` or legacy ``POPTRIE1``)."""
+    """Read an ``RPIMG001`` structure snapshot from a path or stream."""
     if isinstance(source, str):
         with open(source, "rb") as stream:
             return structure_from_bytes(stream.read(), copy=copy)
     return structure_from_bytes(source.read(), copy=copy)
 
-
-def sniff_magic(blob: bytes) -> Optional[str]:
-    """``"image"``, ``"legacy"`` or ``None`` for the first bytes of a blob."""
-    if blob[: len(MAGIC)] == MAGIC:
-        return "image"
-    from repro.core import serialize
-
-    if blob[: len(serialize.MAGIC)] == serialize.MAGIC:
-        return "legacy"
-    return None

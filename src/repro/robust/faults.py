@@ -17,7 +17,7 @@ threaded through the library:
     overflowing next hop, chosen by the plan's seeded RNG) instead of
     raising, modelling a malformed BGP message on the wire.
 ``snapshot``
-    :func:`repro.core.serialize.save` / ``dump_bytes`` — the emitted blob
+    :func:`repro.parallel.image.save_structure` — the emitted blob
     is truncated by ``truncate_snapshot`` bytes, modelling a partial write
     (full disk, crash mid-write).
 ``journal``

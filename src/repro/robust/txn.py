@@ -42,9 +42,9 @@ from repro.core.update import UpdatablePoptrie
 from repro.data.updates import validate_update
 from repro.errors import ReplaceCostExceeded, ReproError, UpdateRejectedError
 from repro.mem.buddy import OutOfMemory
-from repro.net.fib import NO_ROUTE
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
+from repro.net.values import NO_ROUTE
 from repro.obs import tracing
 from repro.robust import faults
 

@@ -7,9 +7,9 @@ from typing import List, Tuple
 
 import pytest
 
-from repro.net.fib import NO_ROUTE
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
+from repro.net.values import NO_ROUTE
 
 
 def make_random_rib(

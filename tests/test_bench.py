@@ -105,25 +105,6 @@ class TestRoster:
         )
 
 
-class TestDeprecationShims:
-    def test_harness_still_exports_roster_with_warning(self):
-        import repro.bench.harness as harness
-        import repro.lookup as lookup
-        from repro.lookup import registry
-
-        for module in (harness, lookup):
-            with pytest.warns(DeprecationWarning):
-                assert module.standard_roster is registry.standard_roster
-            with pytest.warns(DeprecationWarning):
-                assert module.STANDARD_ALGORITHMS is registry.STANDARD_ALGORITHMS
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.bench.harness as harness
-
-        with pytest.raises(AttributeError):
-            harness.does_not_exist
-
-
 class TestReportTable:
     def test_renders_aligned(self):
         table = Table(["algo", "Mlps"], title="demo")

@@ -1,9 +1,9 @@
 """Unit tests for the Poptrie builder (expansion + serialization)."""
 
 from repro.core import builder
-from repro.net.fib import NO_ROUTE
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
+from repro.net.values import NO_ROUTE
 
 
 def rib_of(*routes, width=8):

@@ -145,8 +145,13 @@ class TestInfoAndBench:
         assert poptrie["batch_engine"] == "kernel:poptrie"
         assert poptrie["oracle_match"] is True
         assert poptrie["kernel_sha256"] == poptrie["scalar_sha256"]
+        assert poptrie["speedup_vs_scalar"] == pytest.approx(
+            poptrie["kernel_mlps"] / poptrie["scalar_mlps"]
+        )
+        assert "generic_template_mlps" not in poptrie
         assert patricia["batch_engine"] == "scalar"
         assert patricia["kernel_mlps"] is None
+        assert patricia["speedup_vs_scalar"] is None
         assert patricia["oracle_match"] is None
 
 
@@ -177,12 +182,21 @@ class TestVerify:
         main(["compile", table_path, "-o", fib])
         with open(fib, "rb") as stream:
             blob = stream.read()
-        with open(fib, "wb") as stream:
-            stream.write(blob[:20])  # not even a full header survives
-        capsys.readouterr()
-        assert main(["verify", fib]) == 1
-        err = capsys.readouterr().err
-        assert "error" in err and "truncat" in err
+        cases = [
+            (blob[:20], "truncat"),  # not even a full header survives
+            # A leftover file in the retired pre-image snapshot format is
+            # not an image, so it is read as a text table and refused as
+            # binary.
+            (b"POPTRIE1" + bytes(32) + b"\xff" * 8, "binary data"),
+        ]
+        for content, diagnostic in cases:
+            with open(fib, "wb") as stream:
+                stream.write(content)
+            capsys.readouterr()
+            assert main(["verify", fib]) == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and diagnostic in err
+            assert "Traceback" not in err
 
     def test_verify_bitflipped_snapshot_fails(self, table_path, tmp_path,
                                               capsys):

@@ -9,9 +9,9 @@ from tests.conftest import boundary_keys, make_random_rib, random_keys
 from repro.errors import StructuralLimitError
 from repro.lookup.dxr import _DIRECT_FLAG, Dxr
 from repro.mem.layout import AccessTrace
-from repro.net.fib import NO_ROUTE
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
+from repro.net.values import NO_ROUTE
 from repro.parallel.image import TableImage
 
 

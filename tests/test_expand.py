@@ -98,7 +98,7 @@ class TestSyn2:
 class TestSemantics:
     def test_coverage_is_preserved(self):
         """Splitting changes next hops but never uncovers addresses."""
-        from repro.net.fib import NO_ROUTE
+        from repro.net.values import NO_ROUTE
         import random
 
         rib = rib_of(("10.0.0.0/16", 1), ("10.0.128.0/17", 2), ("11.0.0.0/8", 3))

@@ -11,8 +11,9 @@ Three properties under test:
   with a fingerprint-identical image and ``lookup_batch`` agreement on a
   random key sweep, for both ``copy=True`` (persistence) and
   ``copy=False`` (the data plane's zero-copy attach).
-- **Back compatibility** — legacy ``POPTRIE1`` blobs still load through
-  the blessed :func:`structure_from_bytes` entry point.
+- **One format** — :func:`structure_from_bytes` reads ``RPIMG001`` and
+  rejects anything else, including a leftover file in the retired
+  pre-image snapshot format.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import pytest
 from tests.conftest import make_random_rib
 
 from repro.core.poptrie import Poptrie, PoptrieConfig
-from repro.core.serialize import MAGIC as LEGACY_MAGIC
-from repro.core.serialize import _dump_bytes_v1
 from repro.errors import SnapshotFormatError
 from repro.lookup import registry
 from repro.parallel.image import (
@@ -37,7 +36,6 @@ from repro.parallel.image import (
     image_to_structure,
     load_structure,
     save_structure,
-    sniff_magic,
     structure_from_bytes,
     structure_to_bytes,
 )
@@ -65,12 +63,17 @@ def _sample_image() -> TableImage:
 
 
 class TestFormat:
-    def test_magic_and_sniff(self):
+    def test_magic_and_sniff(self, tmp_path):
+        from repro.cli import _snapshot_kind
+
         blob = _sample_image().to_bytes()
         assert blob[:8] == MAGIC == b"RPIMG001"
-        assert sniff_magic(blob) == "image"
-        assert sniff_magic(LEGACY_MAGIC + b"x" * 8) == "legacy"
-        assert sniff_magic(b"not a snapshot") is None
+        image_path = tmp_path / "table.img"
+        image_path.write_bytes(blob)
+        assert _snapshot_kind(str(image_path)) == "structure"
+        text_path = tmp_path / "table.txt"
+        text_path.write_text("not a snapshot\n")
+        assert _snapshot_kind(str(text_path)) is None
 
     def test_deterministic_bytes_and_fingerprint(self):
         first, second = _sample_image(), _sample_image()
@@ -328,15 +331,10 @@ class TestPersistenceSurface:
             loaded.lookup_batch(KEYS), trie.lookup_batch(KEYS)
         )
 
-    def test_legacy_poptrie1_blob_still_loads(self):
-        trie = Poptrie.from_rib(RIB, PoptrieConfig(s=16))
-        blob = _dump_bytes_v1(trie)
-        assert blob[:8] == LEGACY_MAGIC
-        loaded = structure_from_bytes(blob)
-        np.testing.assert_array_equal(
-            loaded.lookup_batch(KEYS), trie.lookup_batch(KEYS)
-        )
-
     def test_garbage_blob_rejected(self):
-        with pytest.raises(SnapshotFormatError, match="bad magic"):
-            structure_from_bytes(b"certainly not a table snapshot")
+        # The second input is a leftover file in the retired pre-image
+        # snapshot format: rejected by its magic, never parsed.
+        leftover = b"POPTRIE1" + bytes(32) + b"\xff" * 8
+        for blob in (b"certainly not a table snapshot", leftover):
+            with pytest.raises(SnapshotFormatError, match="bad magic"):
+                structure_from_bytes(blob)

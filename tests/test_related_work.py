@@ -10,9 +10,9 @@ from repro.lookup.bloom import BloomFilter, BloomLpm
 from repro.lookup.bsearch_lengths import BinarySearchLengths
 from repro.lookup.patricia import PatriciaTrie
 from repro.mem.layout import AccessTrace
-from repro.net.fib import NO_ROUTE
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
+from repro.net.values import NO_ROUTE
 
 
 def rib_of(*routes):

@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from tests.conftest import make_random_rib, naive_lpm, random_keys
 
-from repro.net.fib import NO_ROUTE
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
+from repro.net.values import NO_ROUTE
 
 
 def addr(text: str) -> int:

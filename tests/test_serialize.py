@@ -1,4 +1,10 @@
-"""Tests for Poptrie binary serialization and structural validation."""
+"""Poptrie snapshots through the image API, and structural validation.
+
+The ``RPIMG001`` byte format itself (magic, truncation, CRC) is covered
+by ``tests/test_image.py``; this module checks what is Poptrie-specific:
+every configuration round-trips, snapshots are compacted, and a
+CRC-valid image with a nonsense header or broken arrays is refused.
+"""
 
 import io
 import random
@@ -7,18 +13,22 @@ import pytest
 
 from tests.conftest import make_random_rib, random_keys
 
-from repro.core.poptrie import Poptrie, PoptrieConfig
-from repro.core.serialize import (
-    CorruptSnapshot,
-    dump_bytes,
-    load,
-    load_bytes,
-    save,
-    validate,
-)
+from repro.core.poptrie import Poptrie, PoptrieConfig, validate
 from repro.core.update import UpdatablePoptrie
+from repro.errors import ReproError, SnapshotFormatError
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
+from repro.parallel.image import (
+    TableImage,
+    load_structure,
+    save_structure,
+    structure_from_bytes,
+    structure_to_bytes,
+)
+
+
+def _round_trip(trie: Poptrie) -> Poptrie:
+    return structure_from_bytes(structure_to_bytes(trie))
 
 
 @pytest.mark.parametrize(
@@ -33,14 +43,15 @@ from repro.net.rib import Rib
 )
 def test_roundtrip_preserves_lookups(bgp_rib, config):
     original = Poptrie.from_rib(bgp_rib, config)
-    thawed = load_bytes(dump_bytes(original))
+    thawed = _round_trip(original)
+    assert thawed.config == config
     for key in random_keys(4000, seed=1):
         assert thawed.lookup(key) == original.lookup(key)
 
 
 def test_roundtrip_preserves_counts(bgp_rib):
     original = Poptrie.from_rib(bgp_rib, PoptrieConfig(s=16))
-    thawed = load_bytes(dump_bytes(original))
+    thawed = _round_trip(original)
     assert thawed.inode_count == original.inode_count
     assert thawed.leaf_count == original.leaf_count
     assert thawed.memory_bytes() == original.memory_bytes()
@@ -49,7 +60,7 @@ def test_roundtrip_preserves_counts(bgp_rib):
 def test_roundtrip_ipv6():
     rib = make_random_rib(200, seed=2, width=128, lengths=[32, 48, 64])
     original = Poptrie.from_rib(rib, PoptrieConfig(s=16))
-    thawed = load_bytes(dump_bytes(original))
+    thawed = _round_trip(original)
     for key in random_keys(500, seed=3, width=128):
         assert thawed.lookup(key) == rib.lookup(key)
 
@@ -57,7 +68,7 @@ def test_roundtrip_ipv6():
 def test_empty_tables():
     for s in (0, 12):
         trie = Poptrie.from_rib(Rib(), PoptrieConfig(s=s))
-        thawed = load_bytes(dump_bytes(trie))
+        thawed = _round_trip(trie)
         assert thawed.lookup(0x01020304) == 0
 
 
@@ -75,8 +86,11 @@ def test_fragmented_trie_compacts():
             if not up.rib.get(prefix):
                 live.append(prefix)
             up.announce(prefix, rng.randint(1, 30))
-    thawed = load_bytes(dump_bytes(up.trie))
+    thawed = _round_trip(up.trie)
     assert thawed.allocated_bytes() <= up.trie.allocated_bytes()
+    fresh = Poptrie.from_rib(up.rib, PoptrieConfig(s=12))
+    assert thawed.inode_count == fresh.inode_count
+    assert thawed.leaf_count == fresh.leaf_count
     for key in random_keys(3000, seed=5):
         assert thawed.lookup(key) == up.rib.lookup(key)
 
@@ -84,69 +98,41 @@ def test_fragmented_trie_compacts():
 def test_file_and_stream_io(bgp_rib, tmp_path):
     trie = Poptrie.from_rib(bgp_rib, PoptrieConfig(s=16))
     path = str(tmp_path / "fib.poptrie")
-    written = save(trie, path)
+    written = save_structure(trie, path)
     assert written > 0
-    thawed = load(path)
+    thawed = load_structure(path)
     assert thawed.inode_count == trie.inode_count
 
     buffer = io.BytesIO()
-    save(trie, buffer)
+    save_structure(trie, buffer)
     buffer.seek(0)
-    assert load(buffer).leaf_count == trie.leaf_count
+    assert load_structure(buffer).leaf_count == trie.leaf_count
 
 
 class TestCorruption:
-    def _blob(self, bgp_rib):
-        return dump_bytes(Poptrie.from_rib(bgp_rib, PoptrieConfig(s=12)))
-
-    def test_bad_magic(self, bgp_rib):
-        blob = bytearray(self._blob(bgp_rib))
-        blob[0] ^= 0xFF
-        with pytest.raises(CorruptSnapshot):
-            load_bytes(bytes(blob))
-
-    def test_truncation(self, bgp_rib):
-        blob = self._blob(bgp_rib)
-        with pytest.raises(CorruptSnapshot):
-            load_bytes(blob[: len(blob) // 2])
-
-    def test_bit_flip_detected_by_crc(self, bgp_rib):
-        blob = bytearray(self._blob(bgp_rib))
-        blob[len(blob) // 2] ^= 0x01
-        with pytest.raises(CorruptSnapshot):
-            load_bytes(bytes(blob))
-
-    def test_empty_input(self):
-        with pytest.raises(CorruptSnapshot):
-            load_bytes(b"")
-
     def test_corrupt_snapshot_is_the_typed_error(self, bgp_rib):
-        from repro.errors import ReproError, SnapshotFormatError
-
-        assert CorruptSnapshot is SnapshotFormatError
-        assert issubclass(CorruptSnapshot, ReproError)
-        assert issubclass(CorruptSnapshot, ValueError)  # backward compat
-
-    def test_truncation_has_precise_diagnostic(self, bgp_rib):
-        blob = self._blob(bgp_rib)
-        with pytest.raises(CorruptSnapshot, match="truncated"):
-            load_bytes(blob[:10])
+        blob = structure_to_bytes(Poptrie.from_rib(bgp_rib, PoptrieConfig(s=12)))
+        with pytest.raises(SnapshotFormatError) as caught:
+            structure_from_bytes(blob[: len(blob) // 2])
+        assert isinstance(caught.value, ReproError)
+        assert isinstance(caught.value, ValueError)
 
     def test_bad_header_values_rejected(self, bgp_rib):
-        """A CRC-valid snapshot with nonsense config fields is rejected
+        """A CRC-valid image with nonsense config fields is rejected
         with a header diagnostic, not a raw ValueError from PoptrieConfig."""
-        import struct
-        import zlib
-
-        from repro.core.serialize import MAGIC, _HEADER
-
-        blob = self._blob(bgp_rib)
-        header = bytearray(blob[len(MAGIC) : len(MAGIC) + _HEADER.size])
-        header[0:4] = struct.pack("<I", 63)  # k=63 is structurally absurd
-        body = MAGIC + bytes(header) + blob[len(MAGIC) + _HEADER.size : -4]
-        blob = body + struct.pack("<I", zlib.crc32(body))
-        with pytest.raises(CorruptSnapshot, match="invalid snapshot header"):
-            load_bytes(blob)
+        image = Poptrie.from_rib(bgp_rib, PoptrieConfig(s=12)).to_image()
+        forged = TableImage.build(
+            kind=image.kind,
+            class_path=image.class_path,
+            algorithm=image.algorithm,
+            width=image.width,
+            meta={**image.meta, "k": 63},  # k=63 is structurally absurd
+            segments={
+                name: image.segment(name) for name in image.segment_names()
+            },
+        )
+        with pytest.raises(SnapshotFormatError, match="invalid poptrie image"):
+            structure_from_bytes(forged.to_bytes())
 
 
 class TestValidate:
@@ -160,7 +146,7 @@ class TestValidate:
             if vector:
                 trie.base1[index] = len(trie.vec) + 100
                 break
-        with pytest.raises(CorruptSnapshot):
+        with pytest.raises(SnapshotFormatError, match="overflows"):
             validate(trie)
 
     def test_detects_broken_leafvec_run(self):
@@ -168,5 +154,5 @@ class TestValidate:
         rib.insert(Prefix.parse("10.0.0.0/8"), 1)
         trie = Poptrie.from_rib(rib, PoptrieConfig(s=0))
         trie.lvec[trie.root_index] = 0  # no run starts at all
-        with pytest.raises(CorruptSnapshot):
+        with pytest.raises(SnapshotFormatError, match="no run start"):
             validate(trie)

@@ -71,7 +71,7 @@ class TestRealTrace:
     def test_destinations_fall_in_routed_space(self):
         rib = self._rib()
         trace = real_trace(rib, 2000, seed=3)
-        from repro.net.fib import NO_ROUTE
+        from repro.net.values import NO_ROUTE
 
         hits = sum(1 for key in trace[:500] if rib.lookup(int(key)) != NO_ROUTE)
         assert hits == 500

@@ -8,9 +8,9 @@ from tests.conftest import boundary_keys, make_random_rib, random_keys
 
 from repro.lookup.treebitmap import TreeBitmap
 from repro.mem.layout import AccessTrace
-from repro.net.fib import NO_ROUTE
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
+from repro.net.values import NO_ROUTE
 
 
 def rib_of(*routes):

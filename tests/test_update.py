@@ -9,8 +9,8 @@ from tests.conftest import random_keys
 from repro.core.poptrie import Poptrie, PoptrieConfig
 from repro.core.update import UpdatablePoptrie
 from repro.errors import UpdateRejectedError
-from repro.net.fib import NO_ROUTE
 from repro.net.prefix import Prefix
+from repro.net.values import NO_ROUTE
 
 
 def equivalent_to_rebuild(up: UpdatablePoptrie) -> bool:
