@@ -10,11 +10,13 @@ ways over REAL-Tier1-A and REAL-Tier1-B:
   zero-copy, batches sharded with ordered reassembly.  This number
   includes the pool's IPC and reassembly overhead — the honest
   multicore rate of this implementation.
-- **fork (reference)** — bare fork-shared lookup loops with no pool in
-  the way (:func:`repro.bench.parallel.measure_parallel_rate`).  This is
-  the analytic upper bound plotted alongside, like the dashed linear
-  reference in the paper's Figure 8; the gap between the two lines *is*
-  the pool overhead.
+- **linear (reference)** — the in-process batch rate
+  (:func:`repro.bench.harness.measure_rate_batch`, the number ``bench
+  --workers`` prints as its "in-process reference") times the worker
+  count.  This is the ideal-scaling line plotted alongside, like the
+  dashed linear reference in the paper's Figure 8; the gap between the
+  two lines *is* the pool overhead (and, on a box with fewer cores than
+  workers, the missing cores).
 
 Both series land in ``figure8_multicore.txt`` and the machine-readable
 ``BENCH_multicore.json`` (the CI artifact).
@@ -33,7 +35,8 @@ import pytest
 
 from benchmarks.conftest import RESULTS_DIR, SCALE, dataset, emit
 
-from repro.bench.parallel import pool_scaling_curve, scaling_curve
+from repro.bench.harness import measure_rate_batch
+from repro.bench.parallel import pool_scaling_curve
 from repro.bench.report import Table
 from repro.core.aggregate import aggregated_rib
 from repro.core.poptrie import Poptrie, PoptrieConfig
@@ -50,7 +53,7 @@ def _usable_cpus() -> int:
 
 
 @pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="fork-based scaling requires POSIX"
+    not hasattr(os, "fork"), reason="the worker pool run requires POSIX"
 )
 def test_figure8_multicore_scaling(benchmark):
     cpus = _usable_cpus()
@@ -85,14 +88,15 @@ def test_figure8_multicore_scaling(benchmark):
         pool = [
             r.mlps for r in pool_scaling_curve(trie, keys, MAX_WORKERS)
         ]
-        reference = [r.mlps for r in scaling_curve(trie, keys, MAX_WORKERS)]
+        single = measure_rate_batch(trie, keys).mlps
+        reference = [single * workers for workers in range(1, MAX_WORKERS + 1)]
         pool_curves[name] = pool
         table.add_row([name, "pool (measured)"] + pool)
-        table.add_row([name, "fork (reference)"] + reference)
+        table.add_row([name, "linear (reference)"] + reference)
         payload["datasets"][name] = {
             "routes": len(ds.rib),
             "pool_mlps": pool,
-            "fork_reference_mlps": reference,
+            "linear_reference_mlps": reference,
             "pool_speedup": [rate / (pool[0] or 1e-9) for rate in pool],
         }
     emit(table, "figure8_multicore")

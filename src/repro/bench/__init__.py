@@ -3,7 +3,7 @@
 - :mod:`repro.bench.harness` — lookup-rate and compile-time measurement,
   plus the standard algorithm roster used across Tables 2–5 and
   Figures 9/12.
-- :mod:`repro.bench.parallel` — the Figure 8 multi-process scaling rig.
+- :mod:`repro.bench.parallel` — Figure 8 scaling through the worker pool.
 - :mod:`repro.bench.report` — fixed-width table rendering for the
   paper-shaped outputs every benchmark prints.
 """

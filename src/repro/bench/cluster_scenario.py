@@ -22,7 +22,7 @@ Two questions this scenario answers with one JSON artifact
 3. **Quorum cost** — the write-latency price of ``--min-insync``: the
    same update stream is driven over the wire against a one-replica
    cluster with quorum acknowledgement off (``min_insync=0``, ack after
-   the local journal flush) and on (``min_insync=1``, ack only after the
+   the local group commit) and on (``min_insync=1``, ack only after the
    replica's durable ACK returns), yielding the per-batch ``OP_UPDATE``
    latency percentiles for both durability modes side by side.
 
@@ -338,7 +338,7 @@ async def _quorum_cell(rib, min_insync: int, updates: int, seed: int) -> dict:
 
     One primary + one replica; the update stream goes over the wire in
     :data:`QUORUM_WRITE_BATCH`-sized ``OP_UPDATE`` requests.  With
-    ``min_insync=0`` the ack returns after the local journal flush; with
+    ``min_insync=0`` the ack returns after the local group commit; with
     ``min_insync=1`` it additionally waits for the replica's durable
     ACK, so the delta between the two cells is the quorum round trip.
     """

@@ -1,17 +1,19 @@
-"""Multi-core scaling (Figure 8).
+"""Multi-core scaling (Figure 8), measured on the production pool.
 
 The paper's point in Section 4.4 is architectural: the Poptrie arrays are
 read-only at lookup time, so N cores share one copy through the shared
-cache and the aggregate rate scales linearly.  We demonstrate the same
-property with fork-based worker processes: the parent builds the
-structure once, each forked worker inherits the pages copy-on-write (no
-duplication, like threads sharing one cache-resident structure), and the
-aggregate rate is total lookups over the wall-clock of the slowest worker.
+cache and the aggregate rate scales linearly.  These functions time
+:class:`repro.parallel.WorkerPool`, the path ``serve --workers N`` uses:
+one RPIMG001 image in shared memory, zero-copy worker attach, sharded
+batches with ordered reassembly.  Their results include the pool's IPC
+and reassembly overhead, which is the honest Figure 8 number for this
+implementation; the in-process
+:func:`~repro.bench.harness.measure_rate_batch` rate is the single-core
+reference beside it.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
 from typing import List
 
@@ -19,85 +21,6 @@ import numpy as np
 
 from repro.bench.harness import RateResult
 from repro.lookup.base import LookupStructure
-
-
-def _worker(structure, keys, chunk, rounds, out, slot):  # pragma: no cover
-    # One untimed warm round (numpy buffer allocation, lazy imports), then
-    # the timed rounds — mirroring how the paper's per-thread loops measure
-    # steady state rather than thread spin-up.
-    for begin in range(0, len(keys), chunk):
-        structure.lookup_batch(keys[begin : begin + chunk])
-    start = time.perf_counter()
-    for _ in range(rounds):
-        for begin in range(0, len(keys), chunk):
-            structure.lookup_batch(keys[begin : begin + chunk])
-    out[slot] = time.perf_counter() - start
-
-
-def measure_parallel_rate(
-    structure: LookupStructure,
-    keys: np.ndarray,
-    workers: int,
-    chunk: int = 1 << 16,
-    rounds: int = 3,
-) -> RateResult:
-    """Aggregate Mlps with ``workers`` forked processes sharing the
-    structure.  Each worker loops its shard ``rounds`` times; the aggregate
-    rate is all timed lookups divided by the slowest worker's timed loop
-    (fork/teardown is excluded, like thread spin-up in the paper's rig).
-    Falls back to in-process measurement for ``workers == 1``.
-    """
-    if workers == 1:
-        for begin in range(0, len(keys), chunk):  # warm round
-            structure.lookup_batch(keys[begin : begin + chunk])
-        start = time.perf_counter()
-        for _ in range(rounds):
-            for begin in range(0, len(keys), chunk):
-                structure.lookup_batch(keys[begin : begin + chunk])
-        elapsed = time.perf_counter() - start
-        return RateResult(structure.name, len(keys) * rounds, elapsed)
-
-    context = mp.get_context("fork")
-    times = context.Array("d", workers)
-    processes: List[mp.Process] = []
-    shards = np.array_split(keys, workers)
-    for slot, shard in enumerate(shards):
-        process = context.Process(
-            target=_worker, args=(structure, shard, chunk, rounds, times, slot)
-        )
-        process.start()
-        processes.append(process)
-    for process in processes:
-        process.join()
-    slowest = max(times[:]) or 1e-9
-    return RateResult(
-        f"{structure.name} x{workers}", len(keys) * rounds, slowest
-    )
-
-
-def scaling_curve(
-    structure: LookupStructure,
-    keys: np.ndarray,
-    max_workers: int = 4,
-) -> List[RateResult]:
-    """Figure 8's series: aggregate rate for 1..max_workers workers."""
-    return [
-        measure_parallel_rate(structure, keys, workers)
-        for workers in range(1, max_workers + 1)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# The real data plane: shared-memory WorkerPool rates
-# ---------------------------------------------------------------------------
-#
-# measure_parallel_rate above times bare forked loops — a rig that exists
-# only for measurement.  The functions below time repro.parallel's
-# WorkerPool, i.e. the production path `serve --workers N` uses: one
-# RPIMG001 image in shared memory, zero-copy worker attach, sharded
-# batches with ordered reassembly.  Their results include the pool's IPC
-# and reassembly overhead, which is the honest Figure 8 number for this
-# implementation.
 
 
 def measure_pool_rate(

@@ -20,9 +20,7 @@ Usage examples::
 Argument spelling is unified across subcommands: every command that
 reads a table accepts it positionally *or* as ``--table PATH`` (the
 shared spelling; ``serve``/``loadgen``/``bench`` also share
-``--algorithm NAME``).  ``--snapshot`` is kept as a hidden deprecated
-alias of ``--table`` for compiled-snapshot call sites and prints a
-deprecation note when used.
+``--algorithm NAME``).
 """
 
 from __future__ import annotations
@@ -93,28 +91,16 @@ def _add_table_arg(
         "--table", dest="table_opt", metavar="PATH",
         help=f"unified spelling of the {metavar} argument",
     )
-    # Deprecated alias kept for one cycle (hidden from --help).
-    group.add_argument(
-        "--snapshot", dest="snapshot_opt", metavar="PATH",
-        help=argparse.SUPPRESS,
-    )
     parser.set_defaults(_table_required=required)
 
 
 def _resolve_table(args: argparse.Namespace) -> Optional[str]:
-    """The one table path out of positional/--table/--snapshot spellings."""
-    if getattr(args, "snapshot_opt", None):
-        print(
-            "note: --snapshot is a deprecated alias of --table "
-            "and will be removed; use --table",
-            file=sys.stderr,
-        )
+    """The one table path out of the positional and --table spellings."""
     given = [
         value
         for value in (
             getattr(args, "table_pos", None),
             getattr(args, "table_opt", None),
-            getattr(args, "snapshot_opt", None),
         )
         if value
     ]
@@ -887,7 +873,7 @@ def _recover_for_serve(args: argparse.Namespace, table_path: Optional[str]):
 
     Returns ``(txn, journal, routes_text)``: the update pipeline journals
     through the *open* journal before the engine applies, and the caller
-    owns flushing + closing it on shutdown.
+    owns closing it on shutdown.
     """
     from repro.robust.journal import Journal, recover
     from repro.robust.txn import TransactionalPoptrie
@@ -1226,7 +1212,6 @@ def cmd_replica(args: argparse.Namespace) -> int:
         serve_port=args.port,
         repl_host=args.host,
         repl_port=args.repl_port,
-        fsync_every=args.fsync_every,
         checkpoint_every=args.checkpoint_every,
         name=args.name,
         quorum=_quorum_config(args),
@@ -1564,8 +1549,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(omit to start as primary)")
     p.add_argument("--repl-port", type=int, default=0, metavar="PORT",
                    help="replication channel port (default 0 = ephemeral)")
-    p.add_argument("--fsync-every", type=int, default=32,
-                   help="journal fsync batching (default 32)")
     p.add_argument("--checkpoint-every", type=int, default=0,
                    help="local checkpoint after this many applied records "
                         "(default 0 = never)")

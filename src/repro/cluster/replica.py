@@ -8,11 +8,13 @@ One :class:`Replica` is a full lookup node.  It
    LookupServer` behind an RCU :class:`~repro.server.handle.TableHandle`
    — readers never notice replication happening,
 3. **follows** a primary's replication channel: every shipped record is
-   verified (seqno continuity + session chain CRC), then appended to
-   the replica's *own* journal (so its sequence numbers stay in lockstep
-   with the primary's and survive its own crashes) and applied through
-   the same :class:`~repro.server.pipeline.UpdatePipeline` the primary
-   uses, and
+   verified (seqno continuity + session chain CRC) and held; at the
+   heartbeat that follows each shipped batch, the held records go
+   through the same :class:`~repro.server.pipeline.UpdatePipeline` the
+   primary uses — one group commit to the replica's *own* journal (so
+   its sequence numbers stay in lockstep with the primary's and survive
+   its own crashes), then apply — and the replica acks the durable
+   seqno, and
 4. **publishes** its own journal in turn, so a promoted replica is
    immediately a primary other replicas can retarget to — promotion is
    a role flip, not a rebuild.
@@ -23,11 +25,13 @@ heartbeat showing the primary *behind* this replica all force a full
 checkpoint re-sync (``SYNC_FROM_SCRATCH``) instead of serving routes
 that might be wrong.
 
-Updates are applied **on the event loop** (not a worker thread), which
-serialises them with the server's coalesced lookup batches by
-construction — a lookup batch never observes an update mid-splice.  The
-incremental engine's per-update cost is microseconds at routing-table
-churn rates, so the loop is never blocked for long.
+A record is applied only after it is durable, exactly as on the
+primary (journal-then-publish), and costs one fsync per shipped batch,
+not per record.  The commit runs in a worker thread under the same
+mutation lock as the primary's OP_UPDATE handler; readers see the new
+table through the RCU handle swap.  Held records that a checkpoint
+frame, a promotion or a lost session overtakes are dropped: they were
+never applied or acked, and the next session re-ships them.
 """
 
 from __future__ import annotations
@@ -37,13 +41,19 @@ import os
 import threading
 import time
 import zlib
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cluster import replication
 from repro.data import tableio
+from repro.data.updates import Update
 from repro.errors import ClusterError, ReproError
 from repro.parallel.image import TableImage
-from repro.robust.journal import Journal, recover
+from repro.robust.journal import (
+    Journal,
+    decode_update,
+    newest_checkpoint,
+    recover,
+)
 from repro.robust.txn import TransactionalPoptrie
 from repro.server import protocol
 from repro.server.handle import TableHandle
@@ -71,7 +81,6 @@ class Replica:
         repl_host: str = "127.0.0.1",
         repl_port: int = 0,
         server_config: Optional[ServerConfig] = None,
-        fsync_every: int = 32,
         heartbeat_timeout: float = 2.0,
         reconnect_backoff: float = 0.05,
         checkpoint_every: int = 0,
@@ -85,7 +94,6 @@ class Replica:
         self.repl_host = repl_host
         self.repl_port = repl_port
         self.server_config = server_config
-        self.fsync_every = fsync_every
         self.heartbeat_timeout = heartbeat_timeout
         self.reconnect_backoff = reconnect_backoff
         self.checkpoint_every = checkpoint_every
@@ -111,6 +119,9 @@ class Replica:
         self.repl_endpoint: Optional[Tuple[str, int]] = None
 
         self._chain = 0
+        #: Shipped records verified but not yet committed: the next
+        #: heartbeat group-commits them.
+        self._held: List[Update] = []
         self._acked = -1
         self._force_snapshot = False
         self._follow_task: Optional[asyncio.Task] = None
@@ -134,7 +145,7 @@ class Replica:
             recover, self.directory, verify=False
         )
         self.txn = result.trie
-        self.journal = Journal(self.directory, fsync_every=self.fsync_every)
+        self.journal = Journal(self.directory)
         self.handle = TableHandle(self.txn.trie, name=self.name)
         self.pipeline = UpdatePipeline(
             self.txn, self.journal, self.handle,
@@ -213,7 +224,7 @@ class Replica:
         """What to ask the primary for: our watermark, or everything."""
         if self._force_snapshot:
             return replication.SYNC_FROM_SCRATCH
-        _, path = replication._newest_checkpoint(self.directory)
+        _, path = newest_checkpoint(self.directory)
         if path is None and self.applied_seqno == 0:
             # Never synced: our empty state says nothing about the
             # primary's checkpoint 0, so ask for the full snapshot.
@@ -235,6 +246,7 @@ class Replica:
             backoff = self.reconnect_backoff
             self.connects += 1
             self._chain = 0
+            self._held = []
             # New session, new publisher-side subscription record: re-ack
             # our watermark on the first heartbeat so the (possibly new)
             # primary learns where we stand.
@@ -266,8 +278,8 @@ class Replica:
         """Apply one subscription session until it breaks or we promote.
 
         Acks flow back on the same connection: whenever this replica's
-        *own* journal makes shipped state durable (the heartbeat-paced
-        flush, or a checkpoint install), an ACK naming the durable seqno
+        *own* journal makes shipped state durable (the heartbeat's group
+        commit, or a checkpoint install), an ACK naming the durable seqno
         goes upstream — the primary's quorum input.
         """
         while self.role == "replica" and not self._stopping:
@@ -284,8 +296,9 @@ class Replica:
             elif kind == replication.FRAME_RECORD:
                 self._apply_record(*operands)
             elif kind == replication.FRAME_HEARTBEAT:
-                durable = self._observe_heartbeat(operands[0])
-                await self._send_ack(writer, durable)
+                await self._commit_held()
+                self._observe_heartbeat(operands[0])
+                await self._send_ack(writer, self.applied_seqno)
             else:
                 self._diverged(f"unexpected frame type {kind} in stream")
             await asyncio.sleep(0)  # let queued lookups interleave
@@ -316,6 +329,7 @@ class Replica:
                 rib = tableio.rib_from_image(TableImage.open(image))
                 self.journal.install_checkpoint(rib, seqno)
                 return TransactionalPoptrie(width=rib.width, rib=rib)
+        self._held = []
         self.txn = self.pipeline.engine = await asyncio.to_thread(rebuild)
         self.handle.swap(self.txn.trie, wait=False)
         self.handle.set_seqno(seqno)
@@ -323,45 +337,46 @@ class Replica:
         self._force_snapshot = False
 
     def _apply_record(self, seqno: int, chain: int, payload: bytes) -> None:
-        from repro.robust.journal import decode_update
-
+        """Verify one shipped record and hold it for the next commit."""
         expected_chain = replication.chain_crc(payload, self._chain)
         if chain != expected_chain:
             self._diverged(
                 f"chain CRC mismatch at seqno {seqno} "
                 f"(got {chain:#x}, computed {expected_chain:#x})"
             )
-        if seqno != self.applied_seqno + 1:
+        expected = self.applied_seqno + len(self._held) + 1
+        if seqno != expected:
             self._diverged(
-                f"sequence gap: record {seqno} after applied "
-                f"{self.applied_seqno}"
+                f"sequence gap: record {seqno} where {expected} was due"
             )
-        update = decode_update(payload)
-        with self._mutate:
-            report = self.pipeline.apply_shipped(update)
-        if report.rejected:
-            # The primary journaled this record, so it applied there;
-            # refusing it here means our state differs from the
-            # primary's at this seqno.  Do not guess — re-sync.
-            self.records_rejected += 1
-            self._diverged(
-                f"shipped record {seqno} refused: {report.errors[0][1]}"
-            )
+        self._held.append(decode_update(payload))
         self._chain = expected_chain
-        self.records_applied += 1
 
-    def _observe_heartbeat(self, watermark: int) -> int:
-        """Flush our journal; returns the durable seqno (the ack value)."""
+    async def _commit_held(self) -> None:
+        """Group-commit the held records, then apply them: one message."""
+        batch, self._held = self._held, []
+        if not batch:
+            return
+
+        def commit():
+            with self._mutate:
+                return self.pipeline.apply(batch)
+        report = await asyncio.to_thread(commit)
+        if report.rejected:
+            # The primary journaled these records, so they applied there;
+            # refusing one here (a failed commit, or an update our state
+            # rejects) means we differ from the primary.  Re-sync.
+            self.records_rejected += report.rejected
+            self._diverged(
+                f"shipped batch refused at record {report.errors[0][0]}: "
+                f"{report.errors[0][1]}"
+            )
+        self.records_applied += report.applied
+
+    def _observe_heartbeat(self, watermark: int) -> None:
+        """Note the primary's watermark; a primary behind us diverged."""
         self.last_heartbeat = time.monotonic()
         self.primary_seqno = watermark
-        durable = 0
-        if self.journal is not None:
-            # Heartbeats pace the replica's own durability: shipped
-            # records applied since the last beat reach its segment file
-            # here, so downstream (chained) tailers and a post-crash
-            # recover() lag the stream by at most one heartbeat.
-            with self._mutate:
-                durable = self.journal.flush()
         if watermark < self.applied_seqno:
             # The primary is *behind* us (e.g. restarted from older
             # durable state).  Our extra records are not part of its
@@ -370,7 +385,6 @@ class Replica:
                 f"primary watermark {watermark} behind applied "
                 f"{self.applied_seqno}"
             )
-        return durable
 
     # -- control (the publisher's owner callbacks) ----------------------------
 
@@ -435,12 +449,10 @@ class Replica:
             }
         self.role = "primary"
         self.primary = None
+        self._held = []
         if self._follow_task is not None:
             self._follow_task.cancel()
             self._follow_task = None
-        if self.journal is not None:
-            with self._mutate:
-                self.journal.flush()
         self._count_role_change("promote")
         return {"promoted": True, **self.info()}
 

@@ -24,11 +24,12 @@ journal) or, when that tail has been truncated by a checkpoint, a full
 CHECKPOINT frame followed by the records after it.
 
 ACK frames flow back on the same subscription connection: a subscriber
-sends one after each durable flush of its own journal, naming the
-highest seqno that flush made durable.  The publisher tracks the acked
-watermark per subscriber, which is what :meth:`ReplicationPublisher.
-wait_quorum` — and through it the ``serve --min-insync N`` bounded-loss
-write path (:class:`QuorumGate`) — waits on.  Subscribers that never
+sends one after each group commit to its own journal (at the heartbeat
+that follows a shipped batch), naming the highest seqno it made
+durable.  The publisher tracks the acked watermark per subscriber,
+which is what :meth:`ReplicationPublisher.wait_quorum` — and through
+it the ``serve --min-insync N`` bounded-loss write path
+(:class:`QuorumGate`) — waits on.  Subscribers that never
 ack (or publishers that ignore acks) interoperate unchanged: the
 watermark simply never advances.
 
@@ -60,9 +61,9 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.data import tableio
-from repro.errors import ClusterError, JournalGap
-from repro.robust.journal import JournalTailer, _scan as _journal_scan
+from repro.errors import ClusterError, JournalGap, SnapshotFormatError
+from repro.parallel.image import TableImage
+from repro.robust.journal import JournalTailer, newest_checkpoint
 from repro.server import protocol
 
 FRAME_HELLO = 1
@@ -204,24 +205,20 @@ def decode_frame(
 # -- the publisher -------------------------------------------------------------
 
 
-def _newest_checkpoint(directory: str) -> Tuple[int, Optional[str]]:
-    checkpoints, _ = _journal_scan(directory)
-    if not checkpoints:
-        return 0, None
-    return checkpoints[-1]
-
-
 def _checkpoint_image(directory: str) -> Tuple[int, bytes]:
-    """The newest checkpoint as ``(seqno, rib image bytes)``.
-
-    Re-encoded through :func:`tableio.rib_to_image` so legacy text
-    checkpoints ship in the same binary form as native ones.
-    """
-    seqno, path = _newest_checkpoint(directory)
+    """The newest checkpoint as ``(seqno, rib image bytes)``: the file's
+    own bytes, shipped once :meth:`TableImage.open` has checked them.
+    A damaged checkpoint is refused, never shipped."""
+    seqno, path = newest_checkpoint(directory)
     if path is None:
         raise ClusterError(f"no checkpoint to ship in {directory!r}")
-    rib = tableio.load_table(path)
-    return seqno, tableio.rib_to_image(rib).to_bytes()
+    with open(path, "rb") as stream:
+        image = stream.read()
+    try:
+        TableImage.open(image)
+    except SnapshotFormatError as error:
+        raise ClusterError(f"checkpoint {path!r} refused: {error}") from None
+    return seqno, image
 
 
 class _Subscription:
@@ -392,9 +389,9 @@ class ReplicationPublisher:
         A companion task drains the subscriber's ACK frames off
         ``reader`` and advances its acked watermark; after every
         shipped record batch a HEARTBEAT follows immediately, because
-        subscribers flush their journal (and ack) on heartbeats — that
-        prompt flush is what keeps quorum-gated write latency at about
-        one round trip instead of one ``heartbeat_s``.
+        subscribers group-commit held records (and ack) on heartbeats —
+        that prompt commit is what keeps quorum-gated write latency at
+        about one round trip instead of one ``heartbeat_s``.
         """
         ack_task = asyncio.create_task(
             self._drain_acks(reader, subscription)
@@ -450,7 +447,7 @@ class ReplicationPublisher:
 
         chain = 0
         if from_seqno == SYNC_FROM_SCRATCH:
-            _, checkpoint_path = _newest_checkpoint(self.directory)
+            _, checkpoint_path = newest_checkpoint(self.directory)
             if checkpoint_path is not None:
                 position, chain = await self._send_checkpoint(writer)
             else:
@@ -482,7 +479,7 @@ class ReplicationPublisher:
                 await writer.drain()
                 self.records_shipped += len(records)
                 # Force the next heartbeat out immediately (see
-                # ``_stream``): subscribers flush-and-ack on beats.
+                # ``_stream``): subscribers commit-and-ack on beats.
                 last_beat = -self.heartbeat_s
             else:
                 await asyncio.sleep(self.poll_s)
@@ -540,7 +537,7 @@ class ReplicationPublisher:
                 return self.insync_count(seqno) >= min_insync
 
     def describe(self) -> dict:
-        checkpoint_seqno, _ = _newest_checkpoint(self.directory)
+        checkpoint_seqno, _ = newest_checkpoint(self.directory)
         return {
             "role": "publisher",
             "directory": self.directory,

@@ -193,8 +193,9 @@ class JournalCorrupt(ReproError, ValueError):
     >>> from repro.net.prefix import Prefix
     >>> d = tempfile.mkdtemp()
     >>> j = Journal(d)
-    >>> _ = j.append(Update("A", Prefix.parse("10.0.0.0/8"), 1))
-    >>> _ = j.append(Update("A", Prefix.parse("10.64.0.0/10"), 2))
+    >>> j.append([Update("A", Prefix.parse("10.0.0.0/8"), 1),
+    ...           Update("A", Prefix.parse("10.64.0.0/10"), 2)])
+    2
     >>> j.close()
     >>> seg = os.path.join(d, sorted(os.listdir(d))[0])
     >>> blob = bytearray(open(seg, "rb").read())

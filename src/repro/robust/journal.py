@@ -6,8 +6,9 @@ process lifetime*.  A crash still loses every update since the last
 explicit snapshot.  This module closes that gap with the classic
 journal-then-publish discipline:
 
-1. every validated update is **appended** to an on-disk journal (and
-   optionally fsynced) *before* the in-memory structures mutate;
+1. every validated message is **appended** to an on-disk journal with
+   one write and one fsync (a group commit) *before* the in-memory
+   structures mutate;
 2. a **checkpoint** periodically freezes the full RIB to disk and
    truncates the journal segments it covers;
 3. **recovery** loads the newest checkpoint and replays the journal tail
@@ -18,8 +19,7 @@ On-disk layout (all integers little-endian)::
 
     <dir>/wal-<base>.log          journal segments, append-only
     <dir>/checkpoint-<seq>.tbl    RIB snapshots (binary RPIMG001 rib
-                                  images; legacy text snapshots are still
-                                  read — tableio.load_table sniffs)
+                                  images)
 
     segment  = magic "RJOURNL1" | u64 base-seqno | record*
     record   = u32 payload-length | u32 crc32(payload) | payload
@@ -248,6 +248,12 @@ def _scan(directory: str) -> Tuple[List[Tuple[int, str]], List[Tuple[int, str]]]
     return sorted(checkpoints), sorted(segments)
 
 
+def newest_checkpoint(directory: str) -> Tuple[int, Optional[str]]:
+    """``(seqno, path)`` of the newest checkpoint, or ``(0, None)``."""
+    checkpoints, _ = _scan(directory)
+    return checkpoints[-1] if checkpoints else (0, None)
+
+
 @dataclass
 class JournalStats:
     """Write-side accounting, mirrored into :mod:`repro.obs`."""
@@ -268,51 +274,41 @@ class JournalStats:
 class Journal:
     """An append-only, CRC-framed, segment-rotated route-update log.
 
-    ``fsync_every`` batches durability: every Nth append fsyncs (1 = every
-    append, the safest and slowest; 0 = never fsync implicitly — callers
-    own :meth:`flush`).  ``segment_bytes`` bounds one segment file; the
-    journal rotates to a fresh segment beyond it so checkpoint truncation
-    reclaims space in units smaller than "everything".
+    :meth:`append` is the one write path: a group commit of one message
+    (one write, one fsync), so every record is durable when it returns.
+    ``segment_bytes`` bounds one segment file; the journal rotates to a
+    fresh segment beyond it so checkpoint truncation reclaims space in
+    units smaller than "everything".
 
     >>> import tempfile
     >>> d = tempfile.mkdtemp()
     >>> journal = Journal(d)
-    >>> journal.append(Update("A", Prefix.parse("10.0.0.0/8"), 1))
-    1
-    >>> journal.append(Update("W", Prefix.parse("10.0.0.0/8")))
+    >>> journal.append([Update("A", Prefix.parse("10.0.0.0/8"), 1),
+    ...                 Update("W", Prefix.parse("10.0.0.0/8"))])
     2
+    >>> journal.stats.fsyncs
+    1
     >>> journal.close()
     >>> Journal(d).last_seqno          # reopening resumes the sequence
     2
     """
 
-    def __init__(
-        self,
-        directory: str,
-        *,
-        fsync_every: int = 1,
-        segment_bytes: int = 1 << 20,
-    ) -> None:
-        if fsync_every < 0:
-            raise ValueError("fsync_every must be >= 0")
+    def __init__(self, directory: str, *, segment_bytes: int = 1 << 20) -> None:
         if segment_bytes < _RECORD_BYTES:
             raise ValueError(f"segment_bytes must be >= {_RECORD_BYTES}")
         self.directory = directory
-        self.fsync_every = fsync_every
         self.segment_bytes = segment_bytes
         self.stats = JournalStats()
         self._stream = None
         self._stream_bytes = 0
-        self._unsynced = 0
-        self._unsynced_bytes = 0
         #: An fsync slower than this (seconds) counts as a flush stall.
         #: 10 ms is ~2 spinning-disk seeks — anything beyond it means the
         #: device is queueing and update latency is about to follow.
         self.stall_threshold_s = 0.010
         #: Duration of the most recent fsync (seconds).
         self.last_fsync_s = 0.0
-        #: Set by a torn write (a modelled crash) or a batch that could not
-        #: be cut back out durably; refuses appends, like a dead process.
+        #: Set by a torn write (a modelled crash) or a message that could
+        #: not be cut back out durably; refuses appends, like a dead process.
         self.crashed = False
         os.makedirs(directory, exist_ok=True)
         self._recover_append_position()
@@ -366,32 +362,18 @@ class Journal:
 
     # -- the write path -----------------------------------------------------
 
-    def append(self, update: Update) -> int:
-        """Durably log one update; returns its sequence number.
+    def append(self, updates: Sequence[Update]) -> int:
+        """Group commit: durably log one message's updates with one
+        unbuffered write and one fsync; returns the last sequence number.
 
-        The record is on its way to disk *before* the caller mutates any
-        in-memory state — journal-then-publish.  Raises whatever the
-        filesystem raises (and the armed :class:`FaultPlan`'s ``journal``
-        / ``torn-journal`` faults); the caller must treat any failure as
-        "this update did not happen".
+        The records are durable *before* the caller mutates any in-memory
+        state — journal-then-publish.  A lock keeps :class:`JournalTailer`
+        readers out until the fsync is done.  If the write or the fsync
+        fails (or an armed :class:`FaultPlan` fires), the segment is cut
+        back durably (else the journal is :attr:`crashed`), nothing is
+        counted, and the caller must treat the whole message as "did not
+        happen".
         """
-        self._ensure_stream()
-        if self._stream_bytes >= self.segment_bytes:
-            self._rotate()
-        record = self._framed(update)
-        self._stream.write(record)
-        self._count_appended(1, len(record))
-        self._gauge_pending()
-        if self.fsync_every and self._unsynced >= self.fsync_every:
-            self.flush()
-        return self.last_seqno
-
-    def append_batch(self, updates: Sequence[Update]) -> int:
-        """Group commit: one unbuffered write, one fsync; returns the last
-        sequence number.  A lock keeps :class:`JournalTailer` readers out
-        until the fsync is done.  If the write or the fsync fails, the
-        segment is cut back durably (else the journal is :attr:`crashed`)
-        and nothing is counted."""
         self._ensure_stream()
         if self._stream_bytes >= self.segment_bytes:
             self._rotate()
@@ -401,7 +383,6 @@ class Journal:
         if not frames:
             return self.last_seqno
         blob = b"".join(frames)
-        self._stream.flush()  # cadence-buffered records go first
         fd = self._stream.fileno()
         mark = self._stream_bytes
         fcntl.flock(fd, fcntl.LOCK_EX)
@@ -419,24 +400,18 @@ class Journal:
                 raise
         finally:
             fcntl.flock(fd, fcntl.LOCK_UN)
-        self._count_appended(len(frames), len(blob))
-        self._unsynced = self._unsynced_bytes = 0
-        self._gauge_pending()
+        self.last_seqno += len(frames)
+        self.stats.appends += len(frames)
+        self.stats.bytes_written += len(blob)
+        self._stream_bytes += len(blob)
+        self._count("repro_journal_appends_total", len(frames))
+        self._count("repro_journal_bytes_total", len(blob))
         return self.last_seqno
 
     def flush(self) -> int:
-        """Push buffered records to stable storage (fsync).
-
-        Returns the highest durable sequence number — after a flush
-        that is ``last_seqno`` itself, which is exactly the value a
-        replica acks upstream for the quorum write path.
-        """
-        if self._stream is not None:
-            self._stream.flush()
-            if self._unsynced:
-                self._fsync()
-                self._unsynced = self._unsynced_bytes = 0
-                self._gauge_pending()
+        """The durable watermark: every appended record is already on
+        stable storage, so this is :attr:`last_seqno` — the value a
+        replica acks upstream for the quorum write path."""
         return self.last_seqno
 
     def _fsync(self) -> None:
@@ -450,16 +425,6 @@ class Journal:
         if self.last_fsync_s > self.stall_threshold_s:
             self.stats.flush_stalls += 1
             self._count("repro_journal_flush_stalls_total")
-
-    def _count_appended(self, records: int, nbytes: int) -> None:
-        self.last_seqno += records
-        self.stats.appends += records
-        self.stats.bytes_written += nbytes
-        self._stream_bytes += nbytes
-        self._unsynced += records
-        self._unsynced_bytes += nbytes
-        self._count("repro_journal_appends_total", records)
-        self._count("repro_journal_bytes_total", nbytes)
 
     def _framed(self, update: Update, before: Sequence[bytes] = ()) -> bytes:
         """``update``'s record, past the ``journal`` and ``torn-journal``
@@ -480,7 +445,6 @@ class Journal:
         )
 
     def _rotate(self) -> None:
-        self.flush()
         self._stream.close()
         self._stream = None
         self.stats.rotations += 1
@@ -499,7 +463,6 @@ class Journal:
         with already-covered segments, which replay skips by seqno).
         Returns the checkpoint path.
         """
-        self.flush()
         return self._install(rib, self.last_seqno, fault=True)
 
     def install_checkpoint(self, rib: Rib, seqno: int) -> str:
@@ -580,7 +543,6 @@ class Journal:
     def close(self) -> None:
         stream = self._stream
         if stream is not None:
-            self.flush()
             self._stream = None
             stream.close()
 
@@ -598,7 +560,6 @@ class Journal:
             "applied_seqno": self.applied_seqno,
             "checkpoint_seqno": self.checkpoint_seqno,
             "tail_records": self.last_seqno - self.checkpoint_seqno,
-            "fsync_every": self.fsync_every,
             "segment_bytes": self.segment_bytes,
             "appends": self.stats.appends,
             "bytes_written": self.stats.bytes_written,
@@ -607,16 +568,7 @@ class Journal:
             "checkpoints": self.stats.checkpoints,
             "torn_bytes_discarded": self.stats.torn_bytes_discarded,
             "flush_stalls": self.stats.flush_stalls,
-            "pending_fsync_bytes": self.pending_fsync_bytes,
         }
-
-    @property
-    def pending_fsync_bytes(self) -> int:
-        """Bytes appended but not yet fsynced — the write-side queue
-        depth.  Nonzero between flushes whenever ``fsync_every > 1`` (or
-        0, caller-owned flushing); sustained growth means the flush
-        cadence is losing to the append rate."""
-        return self._unsynced_bytes
 
     def _count(self, name: str, amount: int = 1) -> None:
         from repro import obs
@@ -625,15 +577,6 @@ class Journal:
             name, "Route-update journal write-side totals.",
             journal=os.path.basename(os.path.normpath(self.directory)),
         ).inc(amount)
-
-    def _gauge_pending(self) -> None:
-        from repro import obs
-
-        obs.registry().gauge(
-            "repro_journal_pending_fsync_bytes",
-            "Bytes appended to the journal but not yet fsynced.",
-            journal=os.path.basename(os.path.normpath(self.directory)),
-        ).set(self._unsynced_bytes)
 
 
 # -- recovery ------------------------------------------------------------------
@@ -644,7 +587,8 @@ class RecoveryResult:
     """Everything :func:`recover` reconstructed, plus how it went."""
 
     #: The recovered control plane (RIB + compiled trie), ready to serve
-    #: and to journal further updates once a :class:`Journal` is attached.
+    #: behind an :class:`~repro.server.pipeline.UpdatePipeline` that
+    #: journals further updates.
     trie: "object"
     checkpoint_seqno: int = 0
     checkpoint_path: Optional[str] = None
@@ -807,8 +751,7 @@ class JournalTailer:
     >>> journal = Journal(d, segment_bytes=64)     # rotate every ~2 records
     >>> tailer = JournalTailer(d)
     >>> for i in range(5):
-    ...     _ = journal.append(Update("A", Prefix(i << 24, 8), i + 1))
-    >>> journal.flush()
+    ...     _ = journal.append([Update("A", Prefix(i << 24, 8), i + 1)])
     >>> [seqno for seqno, _ in tailer.poll()]
     [1, 2, 3, 4, 5]
     >>> tailer.poll()                              # nothing new

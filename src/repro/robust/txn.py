@@ -30,6 +30,10 @@
 :meth:`TransactionalPoptrie.apply_stream` replays a BGP-style update
 stream under this regime, routing each message through the ``update``
 fault-injection point so tests can corrupt messages on the wire.
+
+The engine does not journal.  Durability belongs to
+:class:`~repro.server.pipeline.UpdatePipeline`, the one write-ahead
+journal writer: it group-commits a message before the engine applies it.
 """
 
 from __future__ import annotations
@@ -58,8 +62,9 @@ class TxnStats:
     fallback_rebuilds: int = 0
     threshold_rebuilds: int = 0
     rejected: int = 0
-    #: Updates refused because the write-ahead journal append failed
-    #: (journal-then-publish: no durable record, no mutation).
+    #: Updates :class:`~repro.server.pipeline.UpdatePipeline` refused
+    #: because their group commit failed (journal-then-publish: no
+    #: durable record, no mutation).
     journal_failures: int = 0
 
 
@@ -167,17 +172,12 @@ class TransactionalPoptrie(UpdatablePoptrie):
         rib: Optional[Rib] = None,
         rebuild_threshold: Optional[int] = None,
         fallback_rebuild: bool = True,
-        journal=None,
         trie: Optional[Poptrie] = None,
     ) -> None:
         super().__init__(config, width, rib, trie=trie)
         self.rebuild_threshold = rebuild_threshold
         self.fallback_rebuild = fallback_rebuild
         self.txn_stats = TxnStats()
-        #: Optional :class:`repro.robust.journal.Journal`.  When set, every
-        #: validated update is appended (journal-then-publish) before any
-        #: in-memory state mutates; a failed append refuses the update.
-        self.journal = journal
 
     # -- transactional announce/withdraw -------------------------------------
 
@@ -198,21 +198,6 @@ class TransactionalPoptrie(UpdatablePoptrie):
         except UpdateRejectedError:
             self.count_rejected()
             raise
-        if self.journal is not None:
-            # Journal-then-publish: the durable record must exist before
-            # any in-memory state mutates.  A failed append refuses the
-            # update outright — recovery then agrees with this process
-            # that the update never happened.
-            from repro.data.updates import Update
-
-            try:
-                self.journal.append(
-                    Update(kind, prefix, fib_index if kind == "A" else 0)
-                )
-            except Exception:
-                self.txn_stats.journal_failures += 1
-                _count_txn("journal_error")
-                raise
         txn = Transaction(self)
         try:
             if kind == "A":
@@ -245,17 +230,6 @@ class TransactionalPoptrie(UpdatablePoptrie):
             _count_txn("commit")
         finally:
             txn.close()
-
-    def checkpoint(self) -> str:
-        """Freeze the current RIB through the attached journal.
-
-        Requires :attr:`journal`; returns the checkpoint path.  After the
-        call the journal's replayed segments are truncated, so recovery
-        time is proportional to the churn since this moment.
-        """
-        if self.journal is None:
-            raise ValueError("no journal attached to checkpoint through")
-        return self.journal.checkpoint(self.rib)
 
     def _rib_inverse(self, kind: str, prefix: Prefix, previous: int):
         """The inverse RIB operation for an applied announce/withdraw."""

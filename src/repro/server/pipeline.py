@@ -1,9 +1,12 @@
 """The route-update pipeline: one OP_UPDATE message, in one order.
 
 :class:`UpdatePipeline` is the one write path of ``repro serve
---journal``, a cluster :class:`~repro.cluster.replica.Replica` and the
-churn harness: validate in message order, journal with one fsync, only
-then apply, publish.  Each stage is timed into ``repro_update_latency_us``.
+--journal``, a cluster :class:`~repro.cluster.replica.Replica` (a
+primary's messages, and a replica's shipped records, committed one
+batch per heartbeat) and the churn harness: validate in message order,
+journal with one group commit (one write, one fsync), only then apply,
+publish.  It is the only writer of the write-ahead journal.  Each stage
+is timed into ``repro_update_latency_us``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from repro.data.updates import Update, validate_update
 from repro.errors import ReproError, UpdateRejectedError
 from repro.mem.buddy import OutOfMemory
 from repro.robust import faults
-from repro.robust.txn import StreamReport, TransactionalPoptrie
+from repro.robust.txn import StreamReport, TransactionalPoptrie, _count_txn
 
 
 def observe_update_latency(table: str, stage: str, elapsed_us: float) -> None:
@@ -46,18 +49,16 @@ class UpdatePipeline:
     """Validate, journal with one fsync, apply, publish.
 
     ``engine`` is a :class:`TransactionalPoptrie` or a registry structure
-    with a bound RIB (applied through ``apply_updates``) that does not
-    journal by itself.  ``pool`` is the worker pool behind ``handle``
-    under ``serve --workers``; ``checkpoint_every`` > 0 checkpoints once
-    that many records follow the last checkpoint.  Callers serialise
-    messages.  Calling it returns the report as the OP_UPDATE ack dict.
+    with a bound RIB (applied through ``apply_updates``).  ``pool`` is
+    the worker pool behind ``handle`` under ``serve --workers``;
+    ``checkpoint_every`` > 0 checkpoints once that many records follow
+    the last checkpoint.  Callers serialise messages.  Calling it
+    returns the report as the OP_UPDATE ack dict.
     """
 
     def __init__(
         self, engine, journal, handle, pool=None, checkpoint_every: int = 0
     ) -> None:
-        if getattr(engine, "journal", None) is not None:
-            raise ValueError("the pipeline owns the journal; detach it")
         self.engine = engine
         self.journal = journal
         self.handle = handle
@@ -71,14 +72,6 @@ class UpdatePipeline:
 
     def apply(self, updates: Sequence[Update]) -> UpdateReport:
         """Run one message through the pipeline: one group commit."""
-        return self._run(updates, self.journal.append_batch)
-
-    def apply_shipped(self, update: Update) -> UpdateReport:
-        """Run one record a primary already committed: a replica appends
-        it under its ``fsync_every`` cadence; heartbeats pace durability."""
-        return self._run([update], lambda records: self.journal.append(*records))
-
-    def _run(self, updates: Sequence[Update], commit) -> UpdateReport:
         engine, journal, handle = self.engine, self.journal, self.handle
         txn = engine if isinstance(engine, TransactionalPoptrie) else None
         rib = txn.rib if txn is not None else engine.update_rib
@@ -89,12 +82,13 @@ class UpdatePipeline:
         fsyncs = journal.stats.fsyncs
         if accepted:
             try:
-                commit(accepted)
+                journal.append(accepted)
             except (OSError, ValueError, ReproError) as error:
                 if txn is not None:
                     txn.txn_stats.journal_failures += len(positions)
                 for position in positions:
                     report.refuse(position, error)
+                    _count_txn("journal_error")
                 accepted = []
         fsync_s = journal.last_fsync_s if journal.stats.fsyncs > fsyncs else 0.0
         journaled = time.perf_counter()

@@ -5,19 +5,23 @@ with ``repro`` importable.  The worker
 
 1. recovers the durable state from ``JOURNAL_DIR`` (newest checkpoint +
    replayed tail),
-2. resumes applying the update stream *from that point* — every valid
-   update is journaled exactly once in order, so the durable sequence
-   number doubles as the stream position,
-3. journals every update (journal-then-publish), checkpoints every
-   ``--checkpoint-every`` applied updates, and
+2. resumes the update stream *from that point* — every valid update is
+   journaled exactly once in order, so the durable sequence number
+   doubles as the stream position,
+3. sends it through :class:`~repro.server.pipeline.UpdatePipeline`, the
+   production write path, in messages of :data:`MESSAGE` updates (one
+   group commit each, journal-then-publish), checkpointing once
+   ``--checkpoint-every`` records follow the last checkpoint, and
 4. writes ``--done-marker`` (the final sequence number) after the last
-   update is durable.
+   message is durable.
 
 The parent test SIGKILLs this process at random instants and restarts
 it; ``--*-fail-at`` options additionally arm a
 :class:`~repro.robust.faults.FaultPlan` so some "crashes" happen exactly
-at a journal append, fsync, torn write or checkpoint.  An injected fault
-exits via ``os._exit`` — no cleanup, like the SIGKILL it stands in for.
+at a journal append, fsync, torn write or checkpoint.  A valid stream
+meets refusals only from those armed faults, so a refused message, like
+an injected fault, exits via ``os._exit(7)`` — no cleanup, like the
+SIGKILL it stands in for.
 
 ``UPDATES_FILE`` is a flat concatenation of fixed-size journal record
 payloads (:func:`repro.robust.journal.encode_update`).
@@ -30,13 +34,15 @@ import os
 import sys
 import time
 
+#: Updates per pipeline message.
+MESSAGE = 4
+
 
 def parse_args(argv):
     parser = argparse.ArgumentParser()
     parser.add_argument("journal")
     parser.add_argument("updates")
     parser.add_argument("--checkpoint-every", type=int, default=200)
-    parser.add_argument("--fsync-every", type=int, default=1)
     parser.add_argument("--throttle-us", type=int, default=0,
                         help="sleep per update, to give the parent time "
                              "to kill the process mid-stream")
@@ -67,12 +73,17 @@ def main(argv=None):
     from repro.errors import InjectedFault
     from repro.robust.faults import FaultPlan
     from repro.robust.journal import Journal, recover
+    from repro.server import TableHandle, UpdatePipeline
 
     updates = load_updates(args.updates)
     result = recover(args.journal, verify=False)
     start = result.last_seqno  # stream position == durable seqno
     txn = result.trie
-    txn.journal = Journal(args.journal, fsync_every=args.fsync_every)
+    journal = Journal(args.journal)
+    pipeline = UpdatePipeline(
+        txn, journal, TableHandle(txn.trie),
+        checkpoint_every=args.checkpoint_every,
+    )
 
     plan = FaultPlan(
         journal_fail_at=args.journal_fail_at,
@@ -81,28 +92,23 @@ def main(argv=None):
         torn_journal_at=args.torn_journal_at,
     )
     throttle = args.throttle_us / 1e6
-    applied = 0
     try:
         with plan:
-            for update in updates[start:]:
-                if update.kind == "A":
-                    txn.announce(update.prefix, update.nexthop)
-                else:
-                    txn.withdraw(update.prefix)
-                applied += 1
-                if applied % args.checkpoint_every == 0:
-                    txn.checkpoint()
+            for begin in range(start, len(updates), MESSAGE):
+                message = updates[begin:begin + MESSAGE]
+                if pipeline.apply(message).rejected:
+                    os._exit(7)
                 if throttle:
-                    time.sleep(throttle)
+                    time.sleep(throttle * len(message))
     except InjectedFault:
         # The injected crash: die on the spot, no cleanup, no flush —
         # exactly what the SIGKILL variant of this test does.
         os._exit(7)
-    txn.journal.close()
+    journal.close()
     if args.done_marker:
         with open(args.done_marker, "w") as stream:
-            stream.write(f"{txn.journal.last_seqno}\n")
-    print(f"done at seqno {txn.journal.last_seqno}", flush=True)
+            stream.write(f"{journal.last_seqno}\n")
+    print(f"done at seqno {journal.last_seqno}", flush=True)
     return 0
 
 

@@ -1,8 +1,8 @@
 """Kill/restart chaos sweep over the journaling control plane.
 
 A subprocess (``tests/_chaos_worker.py``) applies a long, pre-generated
-route-update stream through :class:`TransactionalPoptrie` with a
-write-ahead journal attached.  This test repeatedly crashes it
+route-update stream through :class:`~repro.server.pipeline.UpdatePipeline`
+(the production write path: one group commit per message, then apply).  This test repeatedly crashes it
 mid-stream — by SIGKILL at a random instant, and by
 :class:`~repro.robust.faults.FaultPlan` faults armed exactly at the
 journal-append, fsync, torn-write and checkpoint sites — then restarts
@@ -51,14 +51,13 @@ REQUIRED_CRASHES = 5
 MAX_SWEEPS = 40
 
 #: Per-restart fault rotation.  The empty plans crash by parent SIGKILL
-#: at a random instant (with ``--fsync-every 4`` so buffered, not yet
-#: durable records are genuinely lost and the tail is often torn); the
+#: at a random instant (possibly mid-commit, leaving a torn tail); the
 #: others die deterministically at a specific durability site.
 FAULT_ROTATION = [
-    ["--fsync-every", "4"],
+    [],
     ["--torn-journal-at", "45"],
     ["--journal-fail-at", "60"],
-    ["--fsync-every", "4"],
+    [],
     ["--fsync-fail-at", "35"],
     ["--checkpoint-fail-at", "1"],
 ]

@@ -238,8 +238,8 @@ class TestErrors:
 
 
 class TestUnifiedTableSpelling:
-    """Every table-reading subcommand takes --table; --snapshot is a
-    deprecated hidden alias; the positional keeps working."""
+    """Every table-reading subcommand takes --table; the positional
+    keeps working."""
 
     def test_table_flag_equivalent_to_positional(self, table_path, capsys):
         assert main(["lookup", "--table", table_path, "10.1.2.3"]) == 0
@@ -248,16 +248,6 @@ class TestUnifiedTableSpelling:
         assert main(["verify", "--table", table_path]) == 0
         assert main(["bench", "--table", table_path, "--queries", "1000",
                      "--repeats", "1", "--algorithm", "Poptrie18"]) == 0
-
-    def test_snapshot_alias_warns_on_stderr(self, table_path, tmp_path,
-                                            capsys):
-        fib = str(tmp_path / "fib.poptrie")
-        assert main(["compile", table_path, "-o", fib]) == 0
-        capsys.readouterr()
-        assert main(["verify", "--snapshot", fib]) == 0
-        captured = capsys.readouterr()
-        assert "OK" in captured.out
-        assert "deprecated" in captured.err and "--table" in captured.err
 
     def test_positional_and_flag_conflict(self, table_path, capsys):
         assert main(["lookup", table_path, "10.1.2.3",

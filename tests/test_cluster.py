@@ -22,6 +22,7 @@ Four layers of coverage:
 from __future__ import annotations
 
 import asyncio
+import errno
 import json
 import os
 import random
@@ -50,7 +51,12 @@ from repro.errors import ClusterError
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
 from repro.parallel.image import structure_to_bytes
-from repro.robust.journal import Journal, encode_update, recover
+from repro.robust.journal import (
+    Journal,
+    encode_update,
+    newest_checkpoint,
+    recover,
+)
 from repro.robust.txn import TransactionalPoptrie
 from repro.server import protocol
 from repro.server.loadgen import _Connection
@@ -325,8 +331,7 @@ class TestReplication:
                 d = str(tmp_path / name)
                 seed_journal(d, rib)
                 with Journal(d) as journal:
-                    for update in updates[:depth]:
-                        journal.append(update)
+                    journal.append(updates[:depth])
             dead = ("127.0.0.1", free_port())
             ahead, _, ahead_repl = await start_node(
                 str(tmp_path / "ahead"), primary=dead, name="ahead"
@@ -372,10 +377,9 @@ class TestReplication:
             rdir = str(tmp_path / "r")
             seed_journal(rdir, old_rib)
             with Journal(rdir) as journal:
-                for update in generate_update_stream(
+                journal.append(generate_update_stream(
                     base_rib(60, seed=21), 15, seed=2
-                ):
-                    journal.append(update)
+                ))
             new_rib = base_rib(90, seed=22)
             primary, _, repl = await start_node(
                 str(tmp_path / "p"), rib=new_rib, name="p"
@@ -390,6 +394,69 @@ class TestReplication:
             assert replica.applied_seqno == primary.applied_seqno == 0
             await replica.stop()
             await primary.stop()
+
+        asyncio.run(scenario())
+
+    def test_resync_ships_the_checkpoint_file_bytes(self, tmp_path):
+        async def scenario():
+            # The replica's history (seqno 5) is not the primary's
+            # (seqno 0), so its first heartbeat forces a re-sync.
+            rdir = str(tmp_path / "r")
+            seed_journal(rdir, base_rib(60, seed=40))
+            with Journal(rdir) as journal:
+                journal.append(
+                    generate_update_stream(base_rib(60, seed=40), 5, seed=1)
+                )
+            rib = base_rib(70, seed=41)
+            pdir = str(tmp_path / "p")
+            primary, _, repl = await start_node(pdir, rib=rib, name="p")
+            _, path = newest_checkpoint(pdir)
+            with open(path, "rb") as stream:
+                on_disk = stream.read()
+            replica = Replica(rdir, primary=repl, name="r")
+            received = []
+            install = replica._install_checkpoint
+
+            async def capture(seqno, image):
+                received.append((seqno, bytes(image)))
+                await install(seqno, image)
+            replica._install_checkpoint = capture
+            await replica.start()
+            await wait_for(lambda: received, what="checkpoint re-sync")
+            assert replica.resyncs == 1
+            assert received == [(0, on_disk)]
+            assert route_set(replica.txn.rib) == route_set(rib)
+            await replica.stop()
+            await primary.stop()
+
+        asyncio.run(scenario())
+
+    def test_crc_flipped_checkpoint_is_refused_not_shipped(self, tmp_path):
+        async def scenario():
+            pdir = str(tmp_path / "p")
+            seed_journal(pdir, base_rib(70, seed=42))
+            _, path = newest_checkpoint(pdir)
+            with open(path, "rb+") as stream:
+                blob = bytearray(stream.read())
+                blob[len(blob) - 8] ^= 0xFF
+                stream.seek(0)
+                stream.write(blob)
+            with pytest.raises(ClusterError, match="refused"):
+                replication._checkpoint_image(pdir)
+            publisher = replication.ReplicationPublisher(pdir)
+            host, port = await publisher.start()
+            reader, writer = await replication.subscribe(
+                host, port, replication.SYNC_FROM_SCRATCH
+            )
+            try:
+                frame = await asyncio.wait_for(
+                    protocol.read_frame(reader, replication.REPL_MAX_FRAME), 10
+                )
+            finally:
+                writer.close()
+                await publisher.stop()
+            assert frame is None  # the publisher hung up, shipping nothing
+            assert publisher.checkpoints_shipped == 0
 
         asyncio.run(scenario())
 
@@ -481,6 +548,112 @@ class TestReplication:
 def _corrupt_checkpoint_frame() -> bytes:
     good = replication.encode_checkpoint(5, b"table image bytes")
     return good[:-1] + bytes([good[-1] ^ 0xFF])  # flip one image byte
+
+
+def record_frames(updates, first_seqno=1, chain=0):
+    """``updates`` as the publisher ships them: chained RECORD frames."""
+    frames = []
+    for seqno, update in enumerate(updates, first_seqno):
+        payload = encode_update(update)
+        chain = replication.chain_crc(payload, chain)
+        frames.append(protocol.frame_bytes(
+            replication.encode_record(seqno, chain, payload)
+        ))
+    return b"".join(frames)
+
+
+class TestReplicaGroupCommit:
+    """A replica holds shipped records and group-commits them at the
+    heartbeat that follows: journal-then-publish, as on the primary."""
+
+    def test_records_apply_only_at_the_committing_heartbeat(self, tmp_path):
+        async def scenario():
+            rib = base_rib(90, seed=43)
+            rdir = str(tmp_path / "r")
+            seed_journal(rdir, rib)
+            dead = ("127.0.0.1", free_port())
+            replica, _, _ = await start_node(rdir, primary=dead, name="r")
+            updates = generate_update_stream(base_rib(90, seed=43), 12, seed=5)
+            before = route_set(replica.txn.rib)
+            fsyncs = replica.journal.stats.fsyncs
+            reader = asyncio.StreamReader()
+            reader.feed_data(record_frames(updates))
+            session = asyncio.create_task(replica._consume(reader))
+            await wait_for(
+                lambda: len(replica._held) == len(updates), what="held records"
+            )
+            # Received and verified, but neither durable nor applied.
+            assert replica.applied_seqno == 0
+            assert replica.records_applied == 0
+            assert route_set(replica.txn.rib) == before
+            assert recover(rdir).last_seqno == 0
+
+            reader.feed_data(protocol.frame_bytes(
+                replication.encode_heartbeat(len(updates))
+            ))
+            await wait_for(
+                lambda: replica.applied_seqno == len(updates),
+                what="heartbeat commit",
+            )
+            assert replica.journal.stats.fsyncs == fsyncs + 1
+            assert replica.records_applied == len(updates)
+            oracle = TransactionalPoptrie(rib=base_rib(90, seed=43))
+            oracle.apply_stream(updates)
+            assert route_set(replica.txn.rib) == route_set(oracle.rib)
+            reader.feed_eof()
+            with pytest.raises(ConnectionError):
+                await session
+            await replica.stop()
+            assert recover(rdir).last_seqno == len(updates)
+
+        asyncio.run(scenario())
+
+    def test_failed_commit_resyncs_and_recovers_what_it_applied(
+        self, tmp_path
+    ):
+        async def scenario():
+            rib = base_rib(90, seed=44)
+            primary, serve, repl = await start_node(
+                str(tmp_path / "p"), rib=rib, name="p"
+            )
+            rdir = str(tmp_path / "r")
+            replica, _, _ = await start_node(rdir, primary=repl, name="r")
+            await wait_for(
+                lambda: replica.txn is not None
+                and len(replica.txn.rib) == len(rib),
+                what="checkpoint sync",
+            )
+            journal = replica.journal
+            append = journal.append
+            refused = []
+
+            def fail_once(updates):
+                if not refused:
+                    refused.append(len(updates))
+                    raise OSError(errno.EIO, "Input/output error")
+                return append(updates)
+            journal.append = fail_once
+
+            updates = generate_update_stream(base_rib(90, seed=44), 30, seed=6)
+            response = await wire_request(
+                *serve, protocol.OP_UPDATE, updates=updates
+            )
+            assert response.status == protocol.STATUS_OK
+            await wait_for(
+                lambda: replica.applied_seqno == primary.applied_seqno
+                and replica.resyncs > 0,
+                what="re-sync after the refused commit",
+            )
+            assert refused
+            assert replica.records_rejected == refused[0]
+            assert route_set(replica.txn.rib) == route_set(primary.txn.rib)
+            await replica.stop()
+            await primary.stop()
+            result = recover(rdir)
+            assert result.last_seqno == replica.applied_seqno
+            assert route_set(result.rib) == route_set(primary.txn.rib)
+
+        asyncio.run(scenario())
 
 
 class TestFrameHardening:
@@ -892,7 +1065,7 @@ def spawn_node(jdir, name, primary=None, extra=()):
         sys.executable, "-m", "repro", "replica",
         "--journal", jdir, "--host", "127.0.0.1",
         "--port", "0", "--repl-port", "0",
-        "--name", name, "--fsync-every", "8", *extra,
+        "--name", name, *extra,
     ]
     if primary is not None:
         argv += ["--primary", f"{primary[0]}:{primary[1]}"]

@@ -17,6 +17,7 @@ import repro.net.prefix
 import repro.net.rib
 import repro.obs
 import repro.robust.faults
+import repro.robust.journal
 import repro.robust.txn
 import repro.router.forwarding
 import repro.server.handle
@@ -33,6 +34,7 @@ MODULES = [
     repro.core.poptrie,
     repro.core.update,
     repro.robust.faults,
+    repro.robust.journal,
     repro.robust.txn,
     repro.cachesim.cache,
     repro.bench.report,

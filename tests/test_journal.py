@@ -1,11 +1,11 @@
 """The route-update journal: durability, torn tails, corruption, recovery.
 
-Covers the write path (framing, fsync batching, segment rotation,
+Covers the write path (framing, group commit, segment rotation,
 checkpoint truncation), the recovery path (empty directory, checkpoint
 only, torn final record, replay idempotence), the corruption taxonomy
 (a CRC-damaged record mid-segment is :class:`JournalCorrupt`, a torn
-*tail* is not), and the journal-then-publish contract of
-:class:`TransactionalPoptrie` with a journal attached.
+*tail* is not), and the journal-then-publish contract of the
+:class:`~repro.server.pipeline.UpdatePipeline` that owns the journal.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.robust.journal import (
     recover,
 )
 from repro.robust.txn import TransactionalPoptrie
+from repro.server import TableHandle, UpdatePipeline
 
 
 def small_rib() -> Rib:
@@ -55,6 +56,12 @@ def segment_paths(directory: str):
 
 def route_set(rib: Rib):
     return {(p.value, p.length, p.width, hop) for p, hop in rib.routes()}
+
+
+def pipeline_for(journal: Journal, rib: Rib) -> UpdatePipeline:
+    """The one journal writer, over a fresh engine on ``rib``."""
+    txn = TransactionalPoptrie(rib=rib)
+    return UpdatePipeline(txn, journal, TableHandle(txn.trie))
 
 
 # ---------------------------------------------------------------------------
@@ -104,30 +111,18 @@ class TestJournalWrites:
     def test_appends_are_sequenced_and_survive_reopen(self, tmp_path):
         d = str(tmp_path)
         with Journal(d) as journal:
-            seqnos = [journal.append(u) for u in some_updates(5)]
+            seqnos = [journal.append([u]) for u in some_updates(5)]
         assert seqnos == [1, 2, 3, 4, 5]
         reopened = Journal(d)
         assert reopened.last_seqno == 5
-        assert reopened.append(some_updates(1)[0]) == 6
+        assert reopened.append(some_updates(1)) == 6
         reopened.close()
-
-    def test_fsync_batching(self, tmp_path):
-        journal = Journal(str(tmp_path), fsync_every=4)
-        for update in some_updates(8):
-            journal.append(update)
-        assert journal.stats.fsyncs == 2
-        journal.append(some_updates(1)[0])
-        journal.flush()  # one unsynced record -> one more fsync
-        assert journal.stats.fsyncs == 3
-        journal.flush()  # nothing unsynced -> no fsync
-        assert journal.stats.fsyncs == 3
-        journal.close()
 
     def test_segment_rotation(self, tmp_path):
         d = str(tmp_path)
         journal = Journal(d, segment_bytes=128)
         for update in some_updates(12):
-            journal.append(update)
+            journal.append([update])
         journal.close()
         paths = segment_paths(d)
         assert len(paths) > 1
@@ -144,19 +139,13 @@ class TestJournalWrites:
 
     def test_checkpoint_truncates_segments(self, tmp_path):
         d = str(tmp_path)
-        rib = small_rib()
         journal = Journal(d)
-        txn = TransactionalPoptrie(rib=rib, journal=journal)
+        pipeline = pipeline_for(journal, small_rib())
+        txn = pipeline.engine
         for update in some_updates(10):
-            try:
-                if update.kind == "A":
-                    txn.announce(update.prefix, update.nexthop)
-                else:
-                    txn.withdraw(update.prefix)
-            except Exception:
-                pass
+            pipeline.apply([update])
         assert segment_paths(d)
-        path = txn.checkpoint()
+        path = journal.checkpoint(txn.rib)
         assert os.path.exists(path)
         assert segment_paths(d) == []
         # Recovery from the checkpoint alone reproduces the live state.
@@ -164,11 +153,6 @@ class TestJournalWrites:
         assert result.replayed == 0
         assert route_set(result.rib) == route_set(txn.rib)
         journal.close()
-
-    def test_checkpoint_requires_journal(self):
-        with pytest.raises(ValueError):
-            TransactionalPoptrie(rib=small_rib()).checkpoint()
-
 
 # ---------------------------------------------------------------------------
 # recovery
@@ -202,8 +186,10 @@ class TestRecovery:
         updates = some_updates(40, seed=9)
         with Journal(d) as journal:
             journal.checkpoint(rib)
-            oracle = TransactionalPoptrie(rib=small_rib(), journal=journal)
-            oracle.apply_stream(updates, on_error="skip")
+            pipeline = pipeline_for(journal, small_rib())
+            for update in updates:
+                pipeline.apply([update])
+            oracle = pipeline.engine
         result = recover(d)
         assert result.replayed + result.skipped == len(updates)
         assert route_set(result.rib) == route_set(oracle.rib)
@@ -212,7 +198,7 @@ class TestRecovery:
         d = str(tmp_path)
         with Journal(d) as journal:
             for update in some_updates(25, seed=13):
-                journal.append(update)
+                journal.append([update])
         first = recover(d)
         second = recover(d)
         assert route_set(first.rib) == route_set(second.rib)
@@ -222,7 +208,7 @@ class TestRecovery:
         d = str(tmp_path)
         with Journal(d) as journal:
             for update in some_updates(6):
-                journal.append(update)
+                journal.append([update])
         path = segment_paths(d)[-1]
         with open(path, "ab") as stream:
             stream.write(b"\x18\x00\x00")  # half a record header
@@ -232,7 +218,7 @@ class TestRecovery:
         # Reopening for append truncates the torn bytes in place.
         journal = Journal(d)
         assert journal.stats.torn_bytes_discarded == 3
-        assert journal.append(some_updates(1)[0]) == 7
+        assert journal.append(some_updates(1)) == 7
         journal.close()
         assert recover(d).last_seqno == 7
 
@@ -240,7 +226,7 @@ class TestRecovery:
         d = str(tmp_path)
         with Journal(d) as journal:
             for update in some_updates(6):
-                journal.append(update)
+                journal.append([update])
         path = segment_paths(d)[-1]
         # Flip one payload byte of the *second* record: a complete frame
         # with a bad CRC — real corruption, never a torn tail.
@@ -260,7 +246,7 @@ class TestRecovery:
         d = str(tmp_path)
         with Journal(d, segment_bytes=128) as journal:
             for update in some_updates(12):
-                journal.append(update)
+                journal.append([update])
         paths = segment_paths(d)
         assert len(paths) >= 3
         os.unlink(paths[1])
@@ -290,26 +276,32 @@ class TestRecovery:
 
 class TestJournalFaults:
     def test_failed_append_refuses_the_update(self, tmp_path):
-        journal = Journal(str(tmp_path))
-        txn = TransactionalPoptrie(rib=small_rib(), journal=journal)
+        d = str(tmp_path)
+        journal = Journal(d)
+        pipeline = pipeline_for(journal, small_rib())
+        txn = pipeline.engine
         before = route_set(txn.rib)
         with FaultPlan(journal_fail_at=1):
-            with pytest.raises(InjectedFault):
-                txn.announce(Prefix.parse("172.16.0.0/12"), 5)
+            report = pipeline.apply(
+                [Update("A", Prefix.parse("172.16.0.0/12"), 5)]
+            )
+        assert (report.applied, report.rejected) == (0, 1)
+        assert "InjectedFault" in report.errors[0][1]
         assert route_set(txn.rib) == before
         assert txn.txn_stats.journal_failures == 1
         assert journal.last_seqno == 0
         journal.close()
+        assert recover(d).last_seqno == 0
 
     def test_torn_write_fault_recovers_clean(self, tmp_path):
         d = str(tmp_path)
         journal = Journal(d)
         updates = some_updates(5)
         for update in updates[:3]:
-            journal.append(update)
+            journal.append([update])
         with FaultPlan(torn_journal_at=1, torn_journal_bytes=7) as plan:
             with pytest.raises(InjectedFault):
-                journal.append(updates[3])
+                journal.append([updates[3]])
         assert plan.fired == [("torn-journal", 1)]
         # The partial record is on disk; recovery discards exactly it.
         result = recover(d)
@@ -317,10 +309,16 @@ class TestJournalFaults:
         assert result.last_seqno == 3
 
     def test_fsync_fault_propagates(self, tmp_path):
-        journal = Journal(str(tmp_path), fsync_every=1)
+        """A failed fsync refuses the message, and recovery agrees: the
+        record is cut back out, so it is never replayed."""
+        d = str(tmp_path)
+        journal = Journal(d)
         with FaultPlan(fsync_fail_at=1):
             with pytest.raises(InjectedFault):
-                journal.append(some_updates(1)[0])
+                journal.append(some_updates(1))
+        assert journal.last_seqno == 0
+        journal.close()
+        assert recover(d).last_seqno == 0
 
     def test_checkpoint_fault_keeps_previous_state(self, tmp_path):
         d = str(tmp_path)
@@ -328,7 +326,7 @@ class TestJournalFaults:
         journal = Journal(d)
         journal.checkpoint(rib)
         for update in some_updates(4):
-            journal.append(update)
+            journal.append([update])
         expected = route_set(recover(d).rib)
         with FaultPlan(checkpoint_fail_at=1):
             with pytest.raises(InjectedFault):
@@ -353,7 +351,7 @@ class TestRecoverCli:
         with Journal(d) as journal:
             journal.checkpoint(small_rib())
             for update in some_updates(8):
-                journal.append(update)
+                journal.append([update])
         out = str(tmp_path / "recovered.txt")
         assert main(["recover", d, "-o", out]) == 0
         text = capsys.readouterr().out
@@ -367,7 +365,7 @@ class TestRecoverCli:
         d = str(tmp_path / "wal")
         with Journal(d) as journal:
             for update in some_updates(8):
-                journal.append(update)
+                journal.append([update])
         assert main(["recover", d, "--compact"]) == 0
         assert segment_paths(d) == []
         result = recover(d)
@@ -380,7 +378,7 @@ class TestRecoverCli:
         d = str(tmp_path / "wal")
         with Journal(d) as journal:
             for update in some_updates(4):
-                journal.append(update)
+                journal.append([update])
         path = segment_paths(d)[-1]
         with open(path, "rb+") as stream:
             stream.seek(16 + 8 + 4)  # first record's payload
@@ -396,7 +394,7 @@ class TestRecoverCli:
             d = str(tmp_path / "wal")
             with Journal(d) as journal:
                 for update in some_updates(3):
-                    journal.append(update)
+                    journal.append([update])
                 journal.checkpoint(recover(d).rib)
             registry = obs.registry()
             label = os.path.basename(os.path.normpath(d))
@@ -427,7 +425,7 @@ class TestAppliedSeqno:
         journal = Journal(d)
         assert journal.applied_seqno == 0
         for update in some_updates(5):
-            journal.append(update)
+            journal.append([update])
         assert journal.applied_seqno == 5
         assert journal.describe()["applied_seqno"] == 5
         journal.close()
@@ -438,7 +436,7 @@ class TestAppliedSeqno:
         with Journal(d) as journal:
             journal.checkpoint(small_rib())
             for update in some_updates(7):
-                journal.append(update)
+                journal.append([update])
         result = recover(d)
         assert result.applied_seqno == result.last_seqno == 7
         assert result.describe()["applied_seqno"] == 7
@@ -447,7 +445,7 @@ class TestAppliedSeqno:
         d = str(tmp_path)
         journal = Journal(d)
         for update in some_updates(5):
-            journal.append(update)
+            journal.append([update])
         # A replication peer ships a snapshot covering seqno 40: local
         # history is discarded and the sequence resumes from there.
         rib = small_rib()
@@ -456,7 +454,7 @@ class TestAppliedSeqno:
         assert segment_paths(d) == []
         assert journal.checkpoint_seqno == 40
         assert journal.applied_seqno == 40
-        assert journal.append(some_updates(1)[0]) == 41
+        assert journal.append(some_updates(1)) == 41
         journal.close()
         result = recover(d)
         assert result.checkpoint_seqno == 40
@@ -482,32 +480,18 @@ class TestJournalTailer:
         assert tailer.poll() == []  # nothing written yet
         updates = some_updates(6)
         for update in updates:
-            journal.append(update)
-        journal.flush()
+            journal.append([update])
         polled = tailer.poll()
         assert [seqno for seqno, _ in polled] == [1, 2, 3, 4, 5, 6]
         assert [u.prefix for _, u in polled] == [u.prefix for u in updates]
         assert tailer.poll() == []
         journal.close()
 
-    def test_only_flushed_bytes_are_visible(self, tmp_path):
-        """The durability contract replication relies on: records still in
-        the writer's buffer (fsync_every batching) must not ship."""
-        d = str(tmp_path)
-        journal = Journal(d, fsync_every=8)
-        tailer = JournalTailer(d)
-        for update in some_updates(5):
-            journal.append(update)
-        assert tailer.poll() == []
-        journal.flush()
-        assert [seqno for seqno, _ in tailer.poll()] == [1, 2, 3, 4, 5]
-        journal.close()
-
     def test_limit_paces_delivery(self, tmp_path):
         d = str(tmp_path)
         with Journal(d) as journal:
             for update in some_updates(9):
-                journal.append(update)
+                journal.append([update])
         tailer = JournalTailer(d)
         assert [s for s, _ in tailer.poll(limit=4)] == [1, 2, 3, 4]
         assert tailer.position == 4
@@ -522,8 +506,7 @@ class TestJournalTailer:
         tailer = JournalTailer(d)
         seen = []
         for update in some_updates(12):
-            journal.append(update)
-            journal.flush()
+            journal.append([update])
             seen.extend(seqno for seqno, _ in tailer.poll())
         assert seen == list(range(1, 13))
         assert len(segment_paths(d)) > 1
@@ -533,7 +516,7 @@ class TestJournalTailer:
         d = str(tmp_path)
         with Journal(d, segment_bytes=64) as journal:
             for update in some_updates(12):
-                journal.append(update)
+                journal.append([update])
         assert len(segment_paths(d)) > 1
         tailer = JournalTailer(d)
         assert [s for s, _ in tailer.poll()] == list(range(1, 13))
@@ -542,7 +525,7 @@ class TestJournalTailer:
         d = str(tmp_path)
         with Journal(d, segment_bytes=64) as journal:
             for update in some_updates(10):
-                journal.append(update)
+                journal.append([update])
         tailer = JournalTailer(d, after_seqno=7)
         assert [s for s, _ in tailer.poll()] == [8, 9, 10]
 
@@ -550,7 +533,7 @@ class TestJournalTailer:
         d = str(tmp_path)
         journal = Journal(d)
         for update in some_updates(3):
-            journal.append(update)
+            journal.append([update])
         journal.close()
         path = segment_paths(d)[-1]
         with open(path, "ab") as stream:
@@ -561,8 +544,7 @@ class TestJournalTailer:
         # The writer reopens (truncating the torn bytes) and appends:
         # the tailer picks up exactly the new record.
         journal = Journal(d)
-        journal.append(some_updates(1)[0])
-        journal.flush()
+        journal.append(some_updates(1))
         assert [s for s, _ in tailer.poll()] == [4]
         journal.close()
 
@@ -570,8 +552,7 @@ class TestJournalTailer:
         d = str(tmp_path)
         journal = Journal(d)
         for update in some_updates(10):
-            journal.append(update)
-        journal.flush()
+            journal.append([update])
         tailer = JournalTailer(d)
         assert len(tailer.poll(limit=4)) == 4
         journal.checkpoint(recover(d).rib)  # deletes every segment
@@ -584,7 +565,7 @@ class TestJournalTailer:
         d = str(tmp_path)
         with Journal(d) as journal:
             for update in some_updates(5):
-                journal.append(update)
+                journal.append([update])
             journal.checkpoint(recover(d).rib)
         with pytest.raises(JournalGap) as excinfo:
             JournalTailer(d).poll()
@@ -594,7 +575,7 @@ class TestJournalTailer:
         d = str(tmp_path)
         with Journal(d) as journal:
             for update in some_updates(4):
-                journal.append(update)
+                journal.append([update])
         path = segment_paths(d)[-1]
         with open(path, "rb+") as stream:
             stream.seek(16 + 8 + 2)  # first record's payload
@@ -616,8 +597,10 @@ def test_recovered_table_compiles_identically(tmp_path):
     updates = some_updates(30, seed=21)
     with Journal(d) as journal:
         journal.checkpoint(rib)
-        oracle = TransactionalPoptrie(rib=small_rib(), journal=journal)
-        oracle.apply_stream(updates, on_error="skip")
+        pipeline = pipeline_for(journal, small_rib())
+        for update in updates:
+            pipeline.apply([update])
+        oracle = pipeline.engine
     recovered = recover(d)
     assert structure_to_bytes(Poptrie.from_rib(recovered.rib)) == structure_to_bytes(
         Poptrie.from_rib(oracle.rib)

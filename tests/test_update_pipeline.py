@@ -95,10 +95,11 @@ class TestOrderedValidation:
         for prefix in (p, q, absent):
             assert base_rib().get(prefix) == 0
 
-        # The reference: each update on its own, journaled by the engine.
+        # The reference: each update on its own through the engine, and
+        # journaled only once the engine took it.
         reference_dir = str(tmp_path / "reference")
         reference_journal = Journal(reference_dir)
-        reference = TransactionalPoptrie(rib=base_rib(), journal=reference_journal)
+        reference = TransactionalPoptrie(rib=base_rib())
         expected = StreamReport()
         for position, update in enumerate(message, 1):
             try:
@@ -111,6 +112,7 @@ class TestOrderedValidation:
                 expected.errors.append((position, str(error)))
             else:
                 expected.applied += 1
+                reference_journal.append([update])
         reference_journal.close()
 
         pipeline_dir = str(tmp_path / "pipeline")
@@ -164,6 +166,23 @@ class TestGroupCommitFaults:
         assert result.replayed == 32
         assert route_set(result.rib) == route_set(txn.rib)
 
+    def test_journal_refusals_are_counted_as_txn_outcomes(self, tmp_path):
+        from repro import obs
+
+        pipeline, txn, journal = make_pipeline(str(tmp_path))
+        message = generate_update_stream(txn.rib, 8, seed=7)
+        obs.enable()
+        try:
+            with FaultPlan(fsync_fail_at=1):
+                report = pipeline.apply(message)
+            counter = obs.registry().counter(
+                "repro_txn_outcomes_total", outcome="journal_error"
+            )
+            assert report.rejected == counter.value == 8
+        finally:
+            obs.disable()
+            journal.close()
+
     def test_torn_write_mid_message_loses_no_acknowledged_update(
         self, tmp_path
     ):
@@ -185,7 +204,7 @@ class TestGroupCommitFaults:
         assert report.rejected == 1
         assert "JournalCorrupt" in report.errors[0][1]
         with pytest.raises(JournalCorrupt):
-            journal.append(stream[32])
+            journal.append(stream[32:33])
         journal.close()
 
         # The torn write models a crash: recover what it left on disk.
@@ -205,13 +224,8 @@ class TestGroupCommitFaults:
         moves, and recovery never replays a refused record."""
         directory = str(tmp_path)
         pipeline, txn, journal = make_pipeline(directory)
-        stream = generate_update_stream(txn.rib, 96, seed=5)
+        stream = generate_update_stream(txn.rib, 64, seed=5)
         acked = pipeline.apply(stream[:32])
-        # Cadence-appended records still in the write buffer go to disk
-        # ahead of the message; the failure must not take them along.
-        journal.fsync_every = 0
-        for update in stream[32:34]:
-            assert pipeline.apply_shipped(update).applied == 1
         before = fingerprint(txn)
         state = (journal.last_seqno, journal.stats.appends,
                  journal.stats.bytes_written, journal.stats.fsyncs)
@@ -239,7 +253,7 @@ class TestGroupCommitFaults:
                 patch.setattr(os, "write", half_then_enospc)
             else:
                 patch.setattr(os, "fsync", fsync_eio)
-            report = pipeline.apply(stream[34:66])
+            report = pipeline.apply(stream[32:])
         assert tries
         assert (report.applied, report.rejected) == (0, 32)
         assert all("OSError" in text for _, text in report.errors)
@@ -250,14 +264,14 @@ class TestGroupCommitFaults:
         assert os.path.getsize(segment) == journal._stream_bytes
         assert not journal.crashed
 
-        # The next message applies normally; recovery replays the acked
-        # message, the two cadence records and it, and nothing refused.
-        report = pipeline.apply(stream[66:])
-        assert (report.applied, report.rejected) == (30, 0)
+        # The retried message applies normally; recovery replays the
+        # acked message and it, and nothing refused.
+        report = pipeline.apply(stream[32:])
+        assert (report.applied, report.rejected) == (32, 0)
         journal.close()
         result = recover(directory)
-        assert result.replayed == 32 + 2 + 30
-        assert result.last_seqno == acked.seqno + 2 + 30
+        assert result.replayed == 32 + 32
+        assert result.last_seqno == acked.seqno + 32
         assert route_set(result.rib) == route_set(txn.rib)
 
     def test_tailer_never_reads_a_message_before_its_fsync(
