@@ -181,7 +181,7 @@ class Poptrie(LookupStructure):
     def _check_fib_capacity(self, rib: Rib, fib_size: Optional[int]) -> None:
         limit = 1 << self.config.leaf_bits
         if fib_size is None:
-            fib_size = max((idx for _, idx in rib.routes()), default=0) + 1
+            fib_size = rib.max_fib_index() + 1
         if fib_size > limit:
             raise StructuralLimitError(
                 f"{fib_size} FIB entries exceed {self.config.leaf_bits}-bit leaves"

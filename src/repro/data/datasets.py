@@ -140,7 +140,7 @@ def load_dataset(name: str, scale: float = 0.1, cache: bool = True) -> Dataset:
             if spec.kind == "syn1"
             else expand.expand_syn2(base.rib)
         )
-        max_fib = max((idx for _, idx in rib.routes()), default=0)
+        max_fib = rib.max_fib_index()
         dataset = Dataset(spec, rib, synthetic_fib(max_fib), scale)
     else:
         n = max(int(spec.prefixes * scale), 64)

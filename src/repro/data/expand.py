@@ -64,7 +64,7 @@ def _expand(
     bits) are copied through unchanged.
     """
     rng = random.Random(seed)
-    stride = max((idx for _, idx in rib.routes()), default=0)
+    stride = rib.max_fib_index()
     out = Rib(width=rib.width)
     # Pass 1: place every unsplit route first, so split pieces can never
     # displace an original (a piece landing on an occupied slot is skipped).

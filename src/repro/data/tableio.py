@@ -231,22 +231,22 @@ def rib_to_image(rib: Rib):
     """
     from repro.parallel.image import TableImage
 
-    routes = list(rib.routes())
-    count = len(routes)
+    prefix_values, lengths, fib_indices = rib.route_columns()
+    count = len(prefix_values)
     meta = {"routes": count}
+    if rib.width > 64:
+        value_hi = np.fromiter((v >> 64 for v in prefix_values), np.uint64, count)
+        value_lo = np.fromiter(
+            (v & _MASK64 for v in prefix_values), np.uint64, count
+        )
+    else:
+        value_hi = np.zeros(count, np.uint64)
+        value_lo = np.array(prefix_values, np.uint64)
     segments = {
-        "value_hi": np.fromiter(
-            (p.value >> 64 for p, _ in routes), np.uint64, count
-        ),
-        "value_lo": np.fromiter(
-            (p.value & _MASK64 for p, _ in routes), np.uint64, count
-        ),
-        "length": np.fromiter(
-            (p.length for p, _ in routes), np.uint8, count
-        ),
-        "fib": np.fromiter(
-            (index for _, index in routes), np.uint32, count
-        ),
+        "value_hi": value_hi,
+        "value_lo": value_lo,
+        "length": np.array(lengths, np.uint8),
+        "fib": np.array(fib_indices, np.uint32),
     }
     if rib.values is not None:
         # Same convention as structure images (repro.lookup.base): the
@@ -269,10 +269,16 @@ def rib_to_image(rib: Rib):
 def rib_from_image(image) -> Rib:
     """Rebuild a :class:`~repro.net.rib.Rib` from a ``kind="rib"`` image.
 
+    Rows may come in any order: they are validated with numpy, sorted
+    into preorder and handed to :meth:`~repro.net.rib.Rib.load_sorted`,
+    which creates each radix node once.  Of duplicate rows the last
+    wins, as with repeated :meth:`~repro.net.rib.Rib.insert`.
+
     Malformed images — wrong kind, unsupported width, inconsistent or
     missing segments, out-of-range routes — raise
     :class:`~repro.errors.TableFormatError` (the table-snapshot error
-    contract), never a bare exception from the internals.
+    contract), never a bare exception from the internals; of several bad
+    rows, the first in file order is reported.
     """
     if image.kind != "rib":
         raise TableFormatError(
@@ -306,20 +312,65 @@ def rib_from_image(image) -> Rib:
             values = ValueTable.from_segments(vmeta, vsegs)
         except SnapshotFormatError as exc:
             raise TableFormatError(str(exc)) from exc
-    rib = Rib(width=width, values=values)
-    rows = zip(
-        value_hi.tolist(), value_lo.tolist(), length.tolist(), fib.tolist()
+    hi = value_hi.astype(np.uint64)
+    lo = value_lo.astype(np.uint64)
+    bad = _bad_rows(hi, lo, length, fib, width)
+    if bad.any():
+        row = int(np.argmax(bad))
+        _reject_row(
+            int(hi[row]), int(lo[row]), int(length[row]), int(fib[row]), width
+        )
+    # Preorder is (value, length) order; lexsort is stable, so the last
+    # of any duplicate rows wins, as it would under repeated insert().
+    order = np.lexsort((length, lo, hi))
+    hi, lo, length, fib = hi[order], lo[order], length[order], fib[order]
+    last = np.ones(len(order), bool)
+    last[:-1] = (
+        (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1]) | (length[1:] != length[:-1])
     )
-    for hi, lo, plen, fib_index in rows:
-        if not 1 <= fib_index <= _MAX_FIB_INDEX:
-            raise TableFormatError(
-                f"FIB index {fib_index} outside 1..{_MAX_FIB_INDEX}"
-            )
-        try:
-            rib.insert(Prefix((hi << 64) | lo, plen, width), fib_index)
-        except ValueError as exc:
-            raise TableFormatError(f"bad route in rib image: {exc}") from exc
+    hi, lo, length, fib = hi[last], lo[last], length[last], fib[last]
+    if width > 64:
+        prefix_values = [(h << 64) | l for h, l in zip(hi.tolist(), lo.tolist())]
+    else:
+        prefix_values = lo.tolist()
+    rib = Rib(width=width, values=values)
+    rib.load_sorted(prefix_values, length.tolist(), fib.tolist())
     return rib
+
+
+def _bad_rows(hi, lo, length, fib, width: int) -> np.ndarray:
+    """Boolean mask of the rows :func:`_reject_row` rejects: FIB index
+    out of range, length over ``width``, or value bits outside the
+    prefix (host bits, or bits above ``width``)."""
+    fib = fib.astype(np.uint64)
+    length = length.astype(np.uint64)
+    bad = (fib == 0) | (fib > _MAX_FIB_INDEX) | (length > width)
+    host = width - np.minimum(length, width).astype(np.int64)
+    bad |= (lo & _low_mask(np.minimum(host, 64))) != 0
+    bad |= (hi & _low_mask(np.maximum(host - 64, 0))) != 0
+    if width <= 64:
+        bad |= (hi != 0) | ((lo >> np.uint64(width)) != 0)
+    return bad
+
+
+def _low_mask(bits: np.ndarray) -> np.ndarray:
+    """``(1 << bits) - 1`` per element, for ``bits`` in 0..64."""
+    shifted = np.left_shift(np.uint64(1), np.minimum(bits, 63).astype(np.uint64))
+    return np.where(bits >= 64, np.uint64(_MASK64), shifted - np.uint64(1))
+
+
+def _reject_row(hi: int, lo: int, plen: int, fib_index: int, width: int) -> None:
+    """Raise the error for one bad rib-image row, worded as the per-route
+    checks word it: the FIB index first, then :class:`Prefix` validation."""
+    if not 1 <= fib_index <= _MAX_FIB_INDEX:
+        raise TableFormatError(
+            f"FIB index {fib_index} outside 1..{_MAX_FIB_INDEX}"
+        )
+    try:
+        Prefix((hi << 64) | lo, plen, width)
+    except ValueError as exc:
+        raise TableFormatError(f"bad route in rib image: {exc}") from exc
+    raise AssertionError(f"rib image row {hi:#x}:{lo:#x}/{plen} is valid")
 
 
 def save_table_image(rib: Rib, destination: Union[str, BinaryIO]) -> int:

@@ -52,7 +52,7 @@ class Dir24_8(LookupStructure):
         NoOptions.resolve(config, options)
         if rib.width != 32:
             raise ValueError("DIR-24-8 is an IPv4 structure")
-        max_fib = max((idx for _, idx in rib.routes()), default=0)
+        max_fib = rib.max_fib_index()
         if max_fib >= _CHUNK_FLAG:
             raise StructuralLimitError(
                 "DIR-24-8: next-hop indices must fit in 15 bits"

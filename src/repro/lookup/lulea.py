@@ -106,7 +106,7 @@ class Lulea(LookupStructure):
         NoOptions.resolve(config, options)
         if rib.width != 32:
             raise ValueError("Lulea is an IPv4 structure")
-        max_fib = max((idx for _, idx in rib.routes()), default=0)
+        max_fib = rib.max_fib_index()
         if max_fib >= _CHUNK_FLAG:
             raise StructuralLimitError("Lulea: next hops must fit in 15 bits")
         structure = cls()

@@ -222,7 +222,7 @@ def standard_roster(
     from repro.errors import StructuralLimitError
 
     aggregated = None
-    fib_size = max((idx for _, idx in rib.routes()), default=0) + 1
+    fib_size = rib.max_fib_index() + 1
     roster: Dict[str, Optional[object]] = {}
     for name in names:
         entry = get(name)

@@ -59,7 +59,7 @@ class Sail(LookupStructure):
         NoOptions.resolve(config, options)
         if rib.width != 32:
             raise ValueError("SAIL_L is an IPv4 structure")
-        max_fib = max((idx for _, idx in rib.routes()), default=0)
+        max_fib = rib.max_fib_index()
         if max_fib >= _CHUNK_FLAG:
             raise StructuralLimitError("SAIL: next-hop indices must fit in 15 bits")
 

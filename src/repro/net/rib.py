@@ -62,6 +62,14 @@ class RibNode:
 class Rib:
     """A binary radix tree mapping prefixes to FIB indices.
 
+    Routes arrive one at a time through :meth:`insert` / :meth:`delete`,
+    or all at once through :meth:`load_sorted`, the bulk builder behind
+    :func:`repro.data.tableio.rib_from_image`: it takes routes already in
+    preorder and creates each node once from a single path stack.
+    :meth:`route_columns` is the matching bulk reader (plain int lists,
+    no :class:`Prefix` objects), and :meth:`max_fib_index` answers the
+    FIB-capacity question every builder asks without building routes.
+
     >>> rib = Rib(width=32)
     >>> rib.insert(Prefix.parse("10.0.0.0/8"), 1)
     0
@@ -109,6 +117,60 @@ class Rib:
         if previous == NO_ROUTE:
             self._route_count += 1
         return previous
+
+    def load_sorted(self, values, lengths, fib_indices) -> None:
+        """Bulk-build this (empty) RIB from routes in preorder.
+
+        ``values``, ``lengths`` and ``fib_indices`` are parallel
+        sequences of ints: left-aligned prefix values with no host bits,
+        lengths ≤ ``width`` and non-zero FIB indices, sorted by
+        ``(value, length)`` — the order :meth:`routes` yields — with no
+        duplicates.  One stack holds the previous route's path.  Each
+        route pops it to the depth it shares with the previous route;
+        in preorder every node below that depth is new, so each node is
+        created exactly once, with no per-bit method calls.  A route that
+        would land on a node already built (a duplicate, or a route after
+        one of its descendants) raises :class:`ValueError`, leaving the
+        routes before it loaded; rows in preorder never do.
+        """
+        if self._route_count or self._node_count != 1:
+            raise ValueError("load_sorted needs an empty RIB")
+        width = self.width
+        path = [self.root]
+        previous = 0
+        created = 0
+        count = 0
+        try:
+            for value, length, fib_index in zip(values, lengths, fib_indices):
+                depth = min(
+                    width - (value ^ previous).bit_length(), length, len(path) - 1
+                )
+                del path[depth + 1:]
+                node = path[depth]
+                if depth == length:
+                    clash = count > 0  # only a leading /0 lands on the root
+                else:
+                    bit = (value >> (width - 1 - depth)) & 1
+                    clash = (node.right if bit else node.left) is not None
+                if clash:
+                    raise ValueError(
+                        f"route {count} is a duplicate or out of preorder"
+                    )
+                for shift in range(width - 1 - depth, width - 1 - length, -1):
+                    child = RibNode()
+                    if (value >> shift) & 1:
+                        node.right = child
+                    else:
+                        node.left = child
+                    path.append(child)
+                    node = child
+                node.route = fib_index
+                created += length - depth
+                count += 1
+                previous = value
+        finally:
+            self._node_count += created
+            self._route_count = count
 
     def delete(self, prefix: Prefix) -> int:
         """Remove a route; returns the FIB index it had.
@@ -211,6 +273,44 @@ class Rib:
                 )
             if node.left is not None:
                 stack.append((node.left, value, length + 1))
+
+    def route_columns(self) -> Tuple[List[int], List[int], List[int]]:
+        """The routes as parallel ``(values, lengths, fib_indices)`` lists.
+
+        Same order as :meth:`routes`, but with no :class:`Prefix` per
+        route: the bulk reader image writers use.  :meth:`routes` stays a
+        lazy walk of its own, because some callers stop early.
+        """
+        values: List[int] = []
+        lengths: List[int] = []
+        fib_indices: List[int] = []
+        top = self.width - 1
+        stack: List[Tuple[RibNode, int, int]] = [(self.root, 0, 0)]
+        while stack:
+            node, value, length = stack.pop()
+            if node.route != NO_ROUTE:
+                values.append(value)
+                lengths.append(length)
+                fib_indices.append(node.route)
+            if node.right is not None:
+                stack.append((node.right, value | (1 << (top - length)), length + 1))
+            if node.left is not None:
+                stack.append((node.left, value, length + 1))
+        return values, lengths, fib_indices
+
+    def max_fib_index(self) -> int:
+        """The largest FIB index of any route (``NO_ROUTE``, 0, when empty)."""
+        best = NO_ROUTE
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if node.route > best:
+                best = node.route
+            if node.left is not None:
+                stack.append(node.left)
+            if node.right is not None:
+                stack.append(node.right)
+        return best
 
     def node_at(self, prefix: Prefix) -> Optional[RibNode]:
         """The radix node exactly at ``prefix``, or ``None``."""

@@ -326,6 +326,35 @@ class TestServeLoadgen:
         assert "error" in capsys.readouterr().err
 
 
+class TestJournalSeeding:
+    def test_fresh_seed_reports_its_startup_split(self, tmp_path, capsys):
+        """``serve --table T --journal fresh/`` prints the load,
+        checkpoint and build seconds it timed, and its checkpoint holds
+        exactly the bytes of the image it was seeded from."""
+        import argparse
+        import re
+
+        from repro.cli import _recover_for_serve
+        from repro.robust.journal import newest_checkpoint
+        from tests.conftest import make_random_rib
+
+        table = str(tmp_path / "table.img")
+        tableio.save_table_image(make_random_rib(300, seed=81), table)
+        args = argparse.Namespace(journal=str(tmp_path / "wal"))
+        txn, journal, routes = _recover_for_serve(args, table)
+        journal.close()
+        out = capsys.readouterr().out
+        assert re.search(
+            r"\(300 routes, initial checkpoint written\) in [0-9.]+ s: "
+            r"load [0-9.]+ s, checkpoint [0-9.]+ s, build [0-9.]+ s",
+            out,
+        ), out
+        assert routes == "300 recovered routes"
+        _, checkpoint = newest_checkpoint(args.journal)
+        with open(checkpoint, "rb") as written, open(table, "rb") as source:
+            assert written.read() == source.read()
+
+
 class TestGenerateIPv6:
     def test_ipv6_table(self, tmp_path, capsys):
         out = str(tmp_path / "v6.txt")

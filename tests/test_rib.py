@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from tests.conftest import make_random_rib, naive_lpm, random_keys
 
 from repro.net.prefix import Prefix
-from repro.net.rib import Rib
+from repro.net.rib import Rib, rib_from_routes
 from repro.net.values import NO_ROUTE
 
 
@@ -156,6 +156,84 @@ class TestWalking:
         rib.insert(Prefix.parse("10.0.0.0/16"), 2)
         assert rib.best_route_on_path(Prefix.parse("10.0.0.0/24")) == 2
         assert rib.best_route_on_path(Prefix.parse("10.1.0.0/16")) == 1
+
+
+class TestBulkBuild:
+    """``load_sorted`` / ``route_columns`` / ``max_fib_index`` against the
+    per-route ``insert`` / ``routes`` they stand in for."""
+
+    def _columns(self, rib):
+        routes = list(rib.routes())
+        return (
+            [p.value for p, _ in routes],
+            [p.length for p, _ in routes],
+            [index for _, index in routes],
+        )
+
+    @pytest.mark.parametrize("width", [32, 128])
+    def test_load_sorted_equals_insert(self, width):
+        rib = make_random_rib(300, seed=61, width=width)
+        rib.insert(Prefix(0, 0, width), 3)
+        rib.insert(Prefix((1 << width) - 1, width, width), 4)
+        bulk = Rib(width=width)
+        bulk.load_sorted(*self._columns(rib))
+        assert list(bulk.routes()) == list(rib.routes())
+        assert len(bulk) == len(rib)
+        assert bulk.node_count == rib.node_count
+
+    def test_route_columns_match_routes(self):
+        rib = make_random_rib(200, seed=62)
+        assert rib.route_columns() == self._columns(rib)
+        assert Rib().route_columns() == ([], [], [])
+
+    def test_max_fib_index(self):
+        rib = make_random_rib(200, seed=63, max_nexthop=900)
+        assert rib.max_fib_index() == max(i for _, i in rib.routes())
+        assert Rib().max_fib_index() == NO_ROUTE
+
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            ["10.0.0.0/8", "10.0.0.0/8"],  # duplicate
+            ["10.1.0.0/16", "10.0.0.0/8"],  # ancestor after descendant
+            ["10.0.0.0/8", "0.0.0.0/0"],  # default route not first
+            # back into a subtree an earlier route already built
+            ["10.1.0.0/16", "10.0.0.0/16", "10.1.2.0/24"],
+        ],
+    )
+    def test_load_sorted_rejects_rows_landing_on_built_nodes(self, texts):
+        prefixes = [Prefix.parse(t) for t in texts]
+        rib = Rib()
+        with pytest.raises(ValueError, match="out of preorder"):
+            rib.load_sorted(
+                [p.value for p in prefixes],
+                [p.length for p in prefixes],
+                [1] * len(prefixes),
+            )
+        # The routes before the bad one stay loaded and counted.
+        good = sorted(prefixes[:-1])
+        assert [p for p, _ in rib.routes()] == good
+        assert len(rib) == len(good)
+        assert rib.node_count == rib_from_routes(
+            [(p, 1) for p in good]
+        ).node_count
+
+    def test_load_sorted_builds_any_order_it_accepts(self):
+        prefixes = [Prefix.parse(t) for t in ("10.1.0.0/16", "10.0.0.0/16")]
+        rib = Rib()
+        rib.load_sorted(
+            [p.value for p in prefixes], [p.length for p in prefixes], [1, 2]
+        )
+        assert rib.node_count == rib_from_routes(
+            zip(prefixes, [1, 2])
+        ).node_count
+        assert rib.get(prefixes[0]) == 1 and rib.get(prefixes[1]) == 2
+
+    def test_load_sorted_needs_an_empty_rib(self):
+        rib = Rib()
+        rib.insert(Prefix.parse("10.0.0.0/8"), 1)
+        with pytest.raises(ValueError, match="empty"):
+            rib.load_sorted([], [], [])
 
 
 class TestMarking:

@@ -8,10 +8,13 @@ either era recover through the same call.
 
 import io
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tests.conftest import make_random_rib
 
+from repro.core.poptrie import Poptrie
 from repro.data.tableio import (
     load_table,
     rib_from_image,
@@ -22,6 +25,7 @@ from repro.data.tableio import (
 from repro.errors import TableFormatError
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
+from repro.net.values import ValueTable
 from repro.parallel.image import MAGIC, TableImage
 
 
@@ -301,3 +305,243 @@ class TestTypedErrors:
     def test_out_of_range_fib_index(self, index):
         error = self._error(f"# repro-table v1 width=32\n10.0.0.0/8 {index}\n")
         assert "outside 1..4294967295" in str(error)
+
+
+# ---------------------------------------------------------------------------
+# The bulk loader against the per-route insert loop it replaced
+# ---------------------------------------------------------------------------
+
+_MAX_FIB = (1 << 32) - 1
+
+
+def image_from_rows(rows, width, values=None, fib_dtype=np.uint32):
+    """A ``kind="rib"`` image holding ``(value, length, fib)`` rows in the
+    given order — unsorted, duplicated or malformed as the test wants."""
+    meta = {"routes": len(rows)}
+    segments = {
+        "value_hi": np.array([v >> 64 for v, _, _ in rows], np.uint64),
+        "value_lo": np.array([v & ((1 << 64) - 1) for v, _, _ in rows], np.uint64),
+        "length": np.array([n for _, n, _ in rows], np.uint8),
+        "fib": np.array([f for _, _, f in rows], fib_dtype),
+    }
+    if values is not None:
+        meta["values"], vsegs = values.to_segments()
+        segments.update({f"values/{k}": a for k, a in vsegs.items()})
+    return TableImage.build(
+        kind="rib", algorithm="rib", width=width, meta=meta, segments=segments
+    )
+
+
+def reference_rib_from_image(image) -> Rib:
+    """The per-route loader: one ``Rib.insert`` per row in file order,
+    checking each row as it goes.  The bulk loader must match its RIB
+    and, on a bad row, its error message."""
+    width = image.width
+    columns = [
+        image.segment(name).tolist()
+        for name in ("value_hi", "value_lo", "length", "fib")
+    ]
+    values = None
+    if "values" in image.meta:
+        values = ValueTable.from_segments(
+            image.meta["values"],
+            {
+                name[len("values/"):]: image.segment(name)
+                for name in image.segment_names()
+                if name.startswith("values/")
+            },
+        )
+    rib = Rib(width=width, values=values)
+    for hi, lo, plen, fib_index in zip(*columns):
+        if not 1 <= fib_index <= _MAX_FIB:
+            raise TableFormatError(f"FIB index {fib_index} outside 1..{_MAX_FIB}")
+        try:
+            rib.insert(Prefix((hi << 64) | lo, plen, width), fib_index)
+        except ValueError as exc:
+            raise TableFormatError(f"bad route in rib image: {exc}") from exc
+    return rib
+
+
+def route_arrays(rib):
+    """The four rib-image segments, built the slow way from ``routes()``."""
+    routes = list(rib.routes())
+    return {
+        "value_hi": np.array([p.value >> 64 for p, _ in routes], np.uint64),
+        "value_lo": np.array(
+            [p.value & ((1 << 64) - 1) for p, _ in routes], np.uint64
+        ),
+        "length": np.array([p.length for p, _ in routes], np.uint8),
+        "fib": np.array([i for _, i in routes], np.uint32),
+    }
+
+
+@st.composite
+def route_rows(draw, width):
+    """Rows in any order, with duplicates, ``/0`` and host routes."""
+    bits = st.one_of(
+        st.text("01", max_size=10),  # short prefixes that nest and share paths
+        st.text("01", min_size=width - 6, max_size=width),  # long and host routes
+        st.just(""),
+    )
+    kinds = draw(st.integers(0, 4))  # 0: no value table
+    fib = st.integers(1, kinds or 40)
+    rows = []
+    for path in draw(st.lists(bits, max_size=40)):
+        value = int(path, 2) << (width - len(path)) if path else 0
+        rows.append((value, len(path), draw(fib)))
+    if rows:
+        again = draw(st.lists(st.sampled_from(rows), max_size=6))
+        rows += [(value, length, draw(fib)) for value, length, _ in again]
+    rows = draw(st.permutations(rows))
+    values = None
+    if kinds:
+        values = ValueTable("cc")
+        for code in ("CN", "JP", "US", "DE")[:kinds]:
+            values.intern(code)
+    return rows, values
+
+
+class TestBulkLoader:
+    """``rib_from_image`` builds the RIB the per-route ``insert`` loop
+    builds, whatever the row order; ``rib_to_image`` writes the segments
+    ``routes()`` describes."""
+
+    @pytest.mark.parametrize("width", [32, 128])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_loads_like_insert(self, width, data):
+        rows, values = data.draw(route_rows(width))
+        image = image_from_rows(rows, width, values)
+        expected = reference_rib_from_image(image)
+        loaded = rib_from_image(image)
+        assert list(loaded.routes()) == list(expected.routes())
+        assert len(loaded) == len(expected)
+        assert loaded.node_count == expected.node_count
+        assert loaded.values == expected.values
+        written = rib_to_image(loaded)
+        for name, array in route_arrays(expected).items():
+            segment = written.segment(name)
+            assert segment.dtype == array.dtype
+            assert np.array_equal(segment, array), name
+        assert written.to_bytes() == rib_to_image(expected).to_bytes()
+
+    @pytest.mark.parametrize("width", [32, 128])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bad_rows_fail_like_insert(self, width, data):
+        """Arbitrary (often malformed) rows: the bulk loader raises
+        exactly the per-route loop's error for the first bad row in file
+        order, or loads the same RIB."""
+        row = st.tuples(
+            st.one_of(
+                st.integers(0, (1 << width) - 1),
+                st.integers(0, (1 << 128) - 1),
+                st.integers(0, 3).map(lambda v: v << (width - 2)),
+            ),
+            st.one_of(st.integers(0, width + 2), st.integers(0, 255)),
+            st.one_of(st.integers(0, 3), st.integers(0, (1 << 64) - 1)),
+        )
+        rows = data.draw(st.lists(row, max_size=12))
+        image = image_from_rows(rows, width, fib_dtype=np.uint64)
+        try:
+            expected = reference_rib_from_image(image)
+        except TableFormatError as exc:
+            with pytest.raises(TableFormatError) as info:
+                rib_from_image(image)
+            assert str(info.value) == str(exc)
+        else:
+            loaded = rib_from_image(image)
+            assert list(loaded.routes()) == list(expected.routes())
+            assert loaded.node_count == expected.node_count
+
+    def test_poptrie_from_loaded_table_matches_insert(self, tmp_path):
+        rib = make_random_rib(400, seed=71)
+        rows = [(p.value, p.length, i) for p, i in rib.routes()]
+        rows.reverse()  # out of preorder on disk
+        target = str(tmp_path / "table.img")
+        with open(target, "wb") as stream:
+            stream.write(image_from_rows(rows, 32).to_bytes())
+        loaded = load_table(target)
+        assert (
+            Poptrie.from_rib(loaded).to_image().fingerprint()
+            == Poptrie.from_rib(rib).to_image().fingerprint()
+        )
+
+    def test_checkpoint_bytes_equal_the_input_image(self, tmp_path):
+        rib = make_random_rib(300, seed=72, width=128)
+        path = str(tmp_path / "table.img")
+        save_table_image(rib, path)
+        with open(path, "rb") as stream:
+            blob = stream.read()
+        assert rib_to_image(load_table(path)).to_bytes() == blob
+
+
+class TestRibImageErrors:
+    """Malformed rib images raise ``TableFormatError`` with the message
+    the per-route loader gave, naming the first bad row in file order."""
+
+    def _message(self, rows, width=32, **kwargs):
+        image = image_from_rows(rows, width, **kwargs)
+        with pytest.raises(TableFormatError) as info:
+            rib_from_image(image)
+        with pytest.raises(TableFormatError) as reference:
+            reference_rib_from_image(image)
+        assert str(info.value) == str(reference.value)
+        return str(info.value)
+
+    def test_fib_index_zero(self):
+        rows = [(10 << 24, 8, 1), (11 << 24, 8, 0)]
+        assert self._message(rows) == "FIB index 0 outside 1..4294967295"
+
+    def test_fib_index_too_wide(self):
+        rows = [(10 << 24, 8, 1 << 32)]
+        assert self._message(rows, fib_dtype=np.uint64) == (
+            "FIB index 4294967296 outside 1..4294967295"
+        )
+
+    def test_host_bits_set(self):
+        rows = [((10 << 24) | 1, 8, 1)]
+        assert self._message(rows) == (
+            "bad route in rib image: host bits set: value=0xa000001 length=8"
+        )
+
+    def test_value_wider_than_the_table(self):
+        rows = [(1 << 40, 8, 1)]
+        assert "host bits set" in self._message(rows)
+
+    def test_length_over_width(self):
+        assert self._message([(0, 33, 1)]) == (
+            "bad route in rib image: prefix length 33 out of /32"
+        )
+        assert self._message([(0, 129, 1)], width=128) == (
+            "bad route in rib image: prefix length 129 out of /128"
+        )
+
+    def test_ipv6_host_bits_in_the_high_half(self):
+        rows = [(1 << 70, 32, 1)]
+        assert self._message(rows, width=128) == (
+            f"bad route in rib image: host bits set: value={1 << 70:#x} length=32"
+        )
+
+    def test_first_bad_row_in_file_order_is_reported(self):
+        # After sorting, the fib-0 row (10/8) would come first; the
+        # report still names the first bad row as written.
+        rows = [(12 << 24, 8, 1), ((11 << 24) | 1, 8, 1), (10 << 24, 8, 0)]
+        assert "host bits set" in self._message(rows)
+
+    def test_mismatched_segment_lengths(self):
+        image = TableImage.build(
+            kind="rib",
+            algorithm="rib",
+            width=32,
+            meta={"routes": 2},
+            segments={
+                "value_hi": np.zeros(2, np.uint64),
+                "value_lo": np.zeros(2, np.uint64),
+                "length": np.zeros(1, np.uint8),
+                "fib": np.ones(2, np.uint32),
+            },
+        )
+        with pytest.raises(TableFormatError) as info:
+            rib_from_image(image)
+        assert str(info.value) == "rib image segments have mismatched lengths"
