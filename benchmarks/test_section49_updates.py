@@ -19,7 +19,7 @@ from benchmarks.conftest import SCALE, dataset, emit
 from repro.bench.report import Table
 from repro.core.poptrie import Poptrie, PoptrieConfig
 from repro.core.update import UpdatablePoptrie
-from repro.data.updates import replay_updates, generate_update_stream
+from repro.data.updates import generate_update_stream
 from repro.net.rib import Rib
 
 PAPER = {
@@ -37,6 +37,15 @@ def _copy(rib: Rib) -> Rib:
     return out
 
 
+def replay_stream(up: UpdatablePoptrie, updates) -> None:
+    """Apply a stream one update at a time, without transactions."""
+    for update in updates:
+        if update.kind == "A":
+            up.announce(update.prefix, update.nexthop)
+        else:
+            up.withdraw(update.prefix)
+
+
 def test_section49_incremental_updates(benchmark):
     ds = dataset("RV-linx-p52")
     count = max(int(23446 * SCALE), 200)
@@ -44,7 +53,7 @@ def test_section49_incremental_updates(benchmark):
     up = UpdatablePoptrie(PoptrieConfig(s=18), rib=_copy(ds.rib))
 
     start = time.perf_counter()
-    replay_updates(up, stream)
+    replay_stream(up, stream)
     elapsed = time.perf_counter() - start
 
     top, leaves, inodes = up.stats.per_update()
@@ -70,7 +79,7 @@ def test_section49_incremental_updates(benchmark):
     assert leaves > inodes
 
     benchmark.pedantic(
-        lambda: replay_updates(
+        lambda: replay_stream(
             up, generate_update_stream(up.rib, 50, seed=99)
         ),
         rounds=1,
@@ -111,7 +120,7 @@ def test_section49_full_route_insertion(benchmark):
     assert rebuilt.leaf_count == up.trie.leaf_count
 
     benchmark.pedantic(
-        lambda: replay_updates(
+        lambda: replay_stream(
             up, generate_update_stream(up.rib, 25, seed=1)
         ),
         rounds=1,

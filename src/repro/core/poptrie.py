@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core import builder
 from repro.errors import SnapshotFormatError, StructuralLimitError
-from repro.lookup.base import LookupStructure, StructureConfig
+from repro.lookup.base import LookupStructure, StructureConfig, check_fib_capacity
 from repro.lookup.registry import register
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.layout import AccessTrace, MemoryMap
@@ -161,14 +161,17 @@ class Poptrie(LookupStructure):
 
         Build options come either as a :class:`PoptrieConfig` or as the
         equivalent keywords (``s=18``, ``use_leafvec=False``, ...);
-        unknown option names raise ``TypeError``.  ``fib_size`` (defaults
-        to the largest FIB index in the RIB) is validated against the
-        leaf width — Section 5's structural limit.
+        unknown option names raise ``TypeError``.  ``fib_size`` (the FIB's
+        entry count; defaults to one more than the RIB's largest index)
+        is checked against :attr:`fib_limit` — Section 5's structural
+        limit.
         """
         config = PoptrieConfig.resolve(config, options)
         with span("poptrie.from_rib"):
             trie = cls(config, width=rib.width)
-            trie._check_fib_capacity(rib, fib_size)
+            check_fib_capacity(
+                trie, rib.max_fib_index() if fib_size is None else fib_size - 1
+            )
             if config.s == 0:
                 tmp = builder.expand_node(
                     rib.root, NO_ROUTE, config.k, config.use_leafvec
@@ -178,14 +181,10 @@ class Poptrie(LookupStructure):
                 trie._build_direct(rib)
             return trie
 
-    def _check_fib_capacity(self, rib: Rib, fib_size: Optional[int]) -> None:
-        limit = 1 << self.config.leaf_bits
-        if fib_size is None:
-            fib_size = rib.max_fib_index() + 1
-        if fib_size > limit:
-            raise StructuralLimitError(
-                f"{fib_size} FIB entries exceed {self.config.leaf_bits}-bit leaves"
-            )
+    @property
+    def fib_limit(self) -> int:
+        """The largest FIB index a ``leaf_bits``-wide leaf encodes."""
+        return (1 << self.config.leaf_bits) - 1
 
     def _build_direct(self, rib: Rib) -> None:
         """Fill the 2^s top-level array (Section 3.4) by walking the radix
@@ -451,18 +450,15 @@ class Poptrie(LookupStructure):
 
     # -- incremental updates -------------------------------------------------
 
-    def _apply_updates(self, updates: list):
-        """Incremental engine hook: route the batch through the
-        transactional subtree-surgery path (Section 3.5).
+    def _apply_updates(self, updates: list, positions: list, report) -> None:
+        """Incremental engine hook: apply the checked batch one update
+        at a time through the transactional subtree surgery (§3.5).
 
-        A :class:`~repro.robust.txn.TransactionalPoptrie` is created
-        lazily around *this* trie (``trie=`` adoption, no recompilation)
-        and cached on the instance; messages apply with staged-then-
-        commit semantics, one bad message rolls back alone and is
-        counted ``rejected``.  When the engine degrades to a full
-        rebuild it swaps in a fresh trie object — its state is adopted
-        back into ``self`` so callers holding this reference (a server
-        handle, a bench roster) keep seeing the updated table.
+        A :class:`~repro.robust.txn.TransactionalPoptrie` adopts *this*
+        trie (``trie=``, no recompilation) and is cached on it; a failed
+        update rolls back alone and is refused at its position.  If the
+        engine degrades to a rebuild, the fresh trie's state is adopted
+        back into ``self``, so holders of this reference see it.
         """
         from repro.robust.txn import TransactionalPoptrie
 
@@ -473,18 +469,12 @@ class Poptrie(LookupStructure):
                 trie=self,
             )
             self.__dict__["_txn_engine"] = engine
-        report = engine.apply_stream(updates, on_error="skip")
+        engine._apply_checked(updates, positions, report)
         if engine.trie is not self:
             # The engine degraded to a rebuild and published a new trie.
             self._adopt_state(engine.trie)
             self.__dict__["_txn_engine"] = engine
             engine.trie = self
-        return {
-            "applied": report.applied,
-            "rejected": report.rejected,
-            "degraded": report.degraded,
-            "engine": "incremental",
-        }
 
     # -- self-verification -------------------------------------------------
 

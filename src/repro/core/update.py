@@ -5,10 +5,11 @@ side, then publishes it with a single atomic pointer/index write so readers
 never observe a half-built structure.  This module reproduces that shape:
 
 - :class:`UpdatablePoptrie` owns the RIB (a radix tree) and the compiled
-  Poptrie.  ``announce``/``withdraw`` validate the update (rejecting
-  malformed ones with :class:`~repro.errors.UpdateRejectedError` *before*
-  touching any state), update the RIB, then surgically rebuild only the
-  affected poptrie subtree.
+  Poptrie.  ``announce``/``withdraw`` pass the update through
+  :func:`repro.data.updates.check_update` (rejecting malformed ones with
+  :class:`~repro.errors.UpdateRejectedError` *before* touching any
+  state), update the RIB, then surgically rebuild only the affected
+  poptrie subtree.
 - Each update runs in two phases.  **Staging** builds the replacement
   subtree entirely on the side — fresh buddy-allocator blocks, children
   emitted before parents — and records the writes that would publish it in
@@ -37,35 +38,15 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core import builder
 from repro.core.poptrie import DIRECT_LEAF, Poptrie, PoptrieConfig
-from repro.errors import ReplaceCostExceeded, UpdateRejectedError
+from repro.data.updates import Update, check_update
+from repro.errors import ReplaceCostExceeded
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib, RibNode
 from repro.net.values import NO_ROUTE
-
-
-def check_rib_prefix(rib: Rib, prefix: Prefix) -> None:
-    """Refuse anything but a prefix of ``rib``'s width."""
-    if not isinstance(prefix, Prefix):
-        raise UpdateRejectedError(f"not a prefix: {prefix!r}")
-    if prefix.width != rib.width:
-        raise UpdateRejectedError(
-            f"prefix width {prefix.width} does not match "
-            f"RIB width {rib.width}"
-        )
-
-
-def check_rib_withdraw(rib: Rib, prefix: Prefix, routed: Dict = None) -> None:
-    """Refuse withdrawing a prefix ``rib`` does not route.  ``routed``
-    overrides the RIB (prefix -> routed after earlier updates)."""
-    check_rib_prefix(rib, prefix)
-    if not (routed or {}).get(prefix, rib.get(prefix) != NO_ROUTE):
-        raise UpdateRejectedError(
-            f"cannot withdraw {prefix.text}: not in the RIB"
-        )
 
 
 @dataclass
@@ -179,14 +160,19 @@ class UpdatablePoptrie:
             "Leaf slots replaced by updates.",
         ).inc(leaves)
 
+    @property
+    def fib_limit(self) -> int:
+        """The largest next-hop index the trie's leaves encode."""
+        return self.trie.fib_limit
+
     def announce(self, prefix: Prefix, fib_index: int) -> None:
         """Insert or replace a route and incrementally update the FIB.
 
         Raises :class:`~repro.errors.UpdateRejectedError` — before any
-        state is mutated — when the prefix does not belong to this RIB's
-        address family or the next-hop index cannot be encoded in a leaf.
+        state is mutated — when :func:`~repro.data.updates.check_update`
+        refuses the update (say, a next hop beyond :attr:`fib_limit`).
         """
-        self.check_announce(prefix, fib_index)
+        check_update(Update("A", prefix, fib_index), self.rib, self.fib_limit)
         previous = self.rib.insert(prefix, fib_index)
         if previous != fib_index:
             self._apply(prefix)
@@ -197,28 +183,9 @@ class UpdatablePoptrie:
         Raises :class:`~repro.errors.UpdateRejectedError` — before any
         state is mutated — when the prefix is not in the RIB.
         """
-        self.check_withdraw(prefix)
+        check_update(Update("W", prefix), self.rib, self.fib_limit)
         self.rib.delete(prefix)
         self._apply(prefix)
-
-    # -- validation (all checks precede any mutation) -------------------------
-
-    def check_announce(self, prefix: Prefix, fib_index: int) -> None:
-        """Validate an announcement; raises ``UpdateRejectedError``."""
-        check_rib_prefix(self.rib, prefix)
-        if isinstance(fib_index, bool) or not isinstance(fib_index, int):
-            raise UpdateRejectedError(
-                f"next-hop index must be an integer, got {fib_index!r}"
-            )
-        limit = 1 << self.trie.config.leaf_bits
-        if not NO_ROUTE < fib_index < limit:
-            raise UpdateRejectedError(
-                f"next-hop index {fib_index} outside 1..{limit - 1}"
-            )
-
-    def check_withdraw(self, prefix: Prefix) -> None:
-        """Validate a withdrawal; raises ``UpdateRejectedError``."""
-        check_rib_withdraw(self.rib, prefix)
 
     # -- update machinery ------------------------------------------------------
 

@@ -15,19 +15,24 @@ the composition knobs it carries an *arrival regime* — ``"steady"``
 (Poisson arrivals at ``rate``) or ``"bursty"`` (back-to-back flap storms
 separated by idle gaps) — which :func:`arrival_offsets` turns into a
 deterministic wall-clock schedule for the churn harness.
+
+:func:`check_update` is the one test of whether an update may be
+applied; every engine and the update pipeline call it (through
+:func:`check_message` for a whole message) before the journal or any
+table sees the update.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.update import UpdatablePoptrie
 from repro.errors import UpdateRejectedError
 from repro.lookup.base import StructureConfig
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
+from repro.net.values import NO_ROUTE
 
 #: The published stream composition.
 PAPER_UPDATE_COUNT = 23446
@@ -122,29 +127,77 @@ class Update:
     nexthop: int = 0
 
 
-def validate_update(update: Update) -> None:
-    """Message-level wellformedness check, before any state is consulted.
+@dataclass
+class StreamReport:
+    """What happened to each update of a message or stream."""
+
+    applied: int = 0
+    degraded: int = 0
+    rejected: int = 0
+    errors: List[Tuple[int, str]] = field(default_factory=list)
+
+    def refuse(self, position: int, error: BaseException) -> None:
+        """Record update ``position`` (1-based) as rejected by ``error``."""
+        self.rejected += 1
+        self.errors.append((position, f"{type(error).__name__}: {error}"))
+
+
+def check_update(
+    update: Update, rib: Rib, fib_limit: int, routed: Optional[Dict] = None
+) -> None:
+    """The one check an update passes before any state is touched.
 
     Raises :class:`~repro.errors.UpdateRejectedError` for an unknown
-    message kind, a payload that is not a :class:`Prefix`, or an announce
-    whose next hop is not a positive integer.  State-dependent checks
-    (withdrawing an absent prefix, a next hop wider than the leaf
-    encoding) belong to the update target, not the message.
+    kind, a non-:class:`Prefix` payload or one not ``rib.width`` wide, a
+    next hop that is not an integer in ``1..fib_limit`` (the target's
+    largest encodable index), or a withdraw of an unrouted prefix.
+    ``routed`` (prefix -> routed after the message's earlier updates)
+    overrides the RIB, so a message checks as one-at-a-time replay.
     """
-    if update.kind not in ("A", "W"):
-        raise UpdateRejectedError(f"unknown update kind {update.kind!r}")
-    if not isinstance(update.prefix, Prefix):
-        raise UpdateRejectedError(f"not a prefix: {update.prefix!r}")
-    if update.kind == "A":
+    kind, prefix = update.kind, update.prefix
+    if kind not in ("A", "W"):
+        raise UpdateRejectedError(f"unknown update kind {kind!r}")
+    if not isinstance(prefix, Prefix):
+        raise UpdateRejectedError(f"not a prefix: {prefix!r}")
+    if prefix.width != rib.width:
+        raise UpdateRejectedError(
+            f"prefix width {prefix.width} does not match "
+            f"RIB width {rib.width}"
+        )
+    if kind == "A":
         nexthop = update.nexthop
-        if isinstance(nexthop, bool) or not isinstance(nexthop, int):
+        if type(nexthop) is not int or not NO_ROUTE < nexthop <= fib_limit:
             raise UpdateRejectedError(
-                f"next-hop index must be an integer, got {nexthop!r}"
+                f"next-hop index {nexthop!r} outside 1..{fib_limit}"
             )
-        if nexthop < 1:
-            raise UpdateRejectedError(
-                f"next-hop index {nexthop} must be positive"
-            )
+        return
+    held = routed.get(prefix) if routed else None
+    if not (rib.get(prefix) != NO_ROUTE if held is None else held):
+        raise UpdateRejectedError(
+            f"cannot withdraw {prefix.text}: not in the RIB"
+        )
+
+
+def check_message(
+    updates: Iterable[Update], rib: Rib, fib_limit: int, report: StreamReport
+) -> Tuple[List[Update], List[int]]:
+    """Run :func:`check_update` over a message in order, against ``rib``
+    plus the message's own earlier accepted updates.  Each refusal goes
+    into ``report`` at its 1-based position; returns the accepted
+    updates and their positions."""
+    routed: Dict = {}
+    accepted: List[Update] = []
+    positions: List[int] = []
+    for position, update in enumerate(updates, 1):
+        try:
+            check_update(update, rib, fib_limit, routed)
+        except UpdateRejectedError as error:
+            report.refuse(position, error)
+            continue
+        routed[update.prefix] = update.kind == "A"
+        accepted.append(update)
+        positions.append(position)
+    return accepted, positions
 
 
 def generate_stream(
@@ -279,23 +332,3 @@ def arrival_offsets(
         offsets.append(t)
     return offsets
 
-
-def replay_updates(
-    target: UpdatablePoptrie, updates: Iterable[Update]
-) -> int:
-    """Replay a stream against an update engine; returns the count.
-
-    Works against anything exposing ``announce``/``withdraw``
-    (:class:`UpdatablePoptrie` and subclasses).  For the uniform
-    registry-wide surface use
-    :meth:`repro.lookup.base.LookupStructure.apply_updates` instead.
-    """
-    n = 0
-    for update in updates:
-        validate_update(update)
-        if update.kind == "A":
-            target.announce(update.prefix, update.nexthop)
-        else:
-            target.withdraw(update.prefix)
-        n += 1
-    return n

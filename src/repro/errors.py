@@ -50,7 +50,7 @@ class StructuralLimitError(ReproError):
     >>> Poptrie.from_rib(Rib(), fib_size=1 << 20)
     Traceback (most recent call last):
         ...
-    repro.errors.StructuralLimitError: 1048576 FIB entries exceed 16-bit leaves
+    repro.errors.StructuralLimitError: Poptrie18: FIB index 1048575 exceeds the next-hop limit 65535
     """
 
 

@@ -40,9 +40,10 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.errors import UpdateRejectedError
+from repro.errors import ReproError, StructuralLimitError, UpdateRejectedError
 from repro.mem.layout import AccessTrace
 from repro.net.rib import Rib
+from repro.net.values import NO_ROUTE
 
 
 def normalize_batch_keys(keys, width: int = 32) -> np.ndarray:
@@ -87,6 +88,17 @@ def normalize_batch_keys(keys, width: int = 32) -> np.ndarray:
     for i, key in enumerate(keys):
         out[i] = _as_int_key(key)
     return out
+
+
+def check_fib_capacity(structure, max_fib: int) -> None:
+    """Raise :class:`~repro.errors.StructuralLimitError` when ``max_fib``
+    exceeds the ``fib_limit`` of ``structure`` (a structure class, or an
+    instance when the limit depends on its build options)."""
+    if max_fib > structure.fib_limit:
+        raise StructuralLimitError(
+            f"{structure.name}: FIB index {max_fib} exceeds the "
+            f"next-hop limit {structure.fib_limit}"
+        )
 
 
 def scalar_batch(lookup, keys) -> np.ndarray:
@@ -150,6 +162,10 @@ class LookupStructure(abc.ABC):
     #: Address width in bits (32 = IPv4, 128 = IPv6).  IPv4-only
     #: structures inherit the default; the others set it from the RIB.
     width: int = 32
+
+    #: The largest next-hop (FIB) index the structure can encode, read
+    #: by :func:`check_fib_capacity` and the update check alike.
+    fib_limit: int = (1 << 32) - 1
 
     #: The registry the instance was instrumented against (None = not
     #: observed; the hot path is then completely untouched).
@@ -335,55 +351,64 @@ class LookupStructure(abc.ABC):
         """Apply a batch of route updates through one uniform surface.
 
         ``updates`` is an iterable of :class:`repro.data.updates.Update`
-        messages.  Requires a bound RIB (:meth:`bind_rib`); the batch is
-        dispatched to the :meth:`_apply_updates` engine hook — Poptrie
-        routes to the transactional incremental engine, everything else
-        mutates the RIB and recompiles once per batch.  Returns a report
-        dict with at least ``applied``, ``rejected`` and ``engine``
-        keys.  Individually malformed or inapplicable messages (unknown
-        kind, withdraw of an absent prefix) are counted in ``rejected``,
-        never raised — one bad message must not take down the batch.
+        messages; requires a bound RIB (:meth:`bind_rib`).  The batch is
+        checked in order (:func:`repro.data.updates.check_message`, up
+        to :attr:`fib_limit`), then the :meth:`_apply_updates` engine
+        hook applies what passed.  Returns a report dict with
+        ``applied``, ``degraded``, ``rejected``, ``errors`` (1-based
+        ``(position, reason)`` pairs) and ``engine``; refused updates
+        are counted, never raised.
         """
+        from repro.data.updates import StreamReport, check_message
+
         if self.update_rib is None:
             raise UpdateRejectedError(
                 f"{type(self).__name__} has no RIB bound; call "
                 "bind_rib(rib) (the registry's from_rib does this "
                 "automatically)"
             )
-        report = self._apply_updates(list(updates))
+        report = StreamReport()
+        accepted, positions = check_message(
+            updates, self.update_rib, self.fib_limit, report
+        )
+        if accepted:
+            self._apply_updates(accepted, positions, report)
+        report.errors.sort()
         self._update_batches += 1
-        self._updates_applied += int(report.get("applied", 0))
-        return report
+        self._updates_applied += report.applied
+        return {**vars(report), "engine": self.update_engine()}
 
-    def _apply_updates(self, updates: list) -> Dict[str, object]:
-        """Engine hook: apply a batch of updates against the bound RIB.
+    def _apply_updates(self, updates: list, positions: list, report) -> None:
+        """Engine hook: apply checked updates to the bound RIB, counting
+        them into ``report`` (refusals at their ``positions``).
 
-        The default is the rebuild fallback: validate and fold every
-        message into :attr:`update_rib`, then recompile the structure
-        once per batch and adopt the result in place (callers holding a
-        reference — a server handle, a bench roster — keep seeing the
-        same object).  Subclasses with a cheaper engine override this
-        (and thereby flip :meth:`supports_incremental`).
+        The default is the rebuild fallback: fold the batch into
+        :attr:`update_rib`, recompile once and adopt the result in
+        place.  A failed rebuild (a structural limit) undoes the batch's
+        RIB mutations, keeps the old structure and refuses the batch.
+        Subclasses with a cheaper engine override this (and thereby flip
+        :meth:`supports_incremental`).
         """
-        from repro.data.updates import validate_update
-
         rib = self.update_rib
-        applied = rejected = 0
+        undo = []
         for update in updates:
-            try:
-                validate_update(update)
-                if update.kind == "A":
-                    rib.insert(update.prefix, update.nexthop)
-                else:
-                    rib.delete(update.prefix)
-            except (UpdateRejectedError, KeyError):
-                rejected += 1
+            if update.kind == "A":
+                previous = rib.insert(update.prefix, update.nexthop)
             else:
-                applied += 1
-        if applied:
+                previous = rib.delete(update.prefix)
+            undo.append((update.prefix, previous))
+        try:
             self._rebuild_from_rib()
-        return {"applied": applied, "rejected": rejected,
-                "engine": "rebuild"}
+        except ReproError as error:
+            for prefix, previous in reversed(undo):
+                if previous == NO_ROUTE:
+                    rib.delete(prefix)
+                else:
+                    rib.insert(prefix, previous)
+            for position in positions:
+                report.refuse(position, error)
+        else:
+            report.applied += len(updates)
 
     def _rebuild_from_rib(self) -> None:
         """Recompile from the bound RIB and adopt the result in place."""

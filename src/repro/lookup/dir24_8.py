@@ -19,7 +19,7 @@ from typing import List
 import numpy as np
 
 from repro.errors import StructuralLimitError
-from repro.lookup.base import LookupStructure, NoOptions
+from repro.lookup.base import LookupStructure, NoOptions, check_fib_capacity
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
 from repro.net.rib import Rib
@@ -37,6 +37,7 @@ class Dir24_8(LookupStructure):
     """DIR-24-8-BASIC with 16-bit table entries."""
 
     name = "DIR-24-8"
+    fib_limit = _CHUNK_FLAG - 1  # the top bit of an entry is the chunk flag
 
     def __init__(self, tbl24: array, tbl_long: array) -> None:
         self.tbl24 = tbl24
@@ -52,11 +53,7 @@ class Dir24_8(LookupStructure):
         NoOptions.resolve(config, options)
         if rib.width != 32:
             raise ValueError("DIR-24-8 is an IPv4 structure")
-        max_fib = rib.max_fib_index()
-        if max_fib >= _CHUNK_FLAG:
-            raise StructuralLimitError(
-                "DIR-24-8: next-hop indices must fit in 15 bits"
-            )
+        check_fib_capacity(cls, rib.max_fib_index())
         tbl24 = array("H", bytes(2 << 24))
         chunks: List[array] = []
 

@@ -30,7 +30,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.errors import StructuralLimitError
-from repro.lookup.base import LookupStructure, StructureConfig
+from repro.lookup.base import LookupStructure, StructureConfig, check_fib_capacity
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
 from repro.net.rib import Rib
@@ -61,6 +61,7 @@ class Dxr(LookupStructure):
     """DXR with configurable direct-table width ``s`` (D16R / D18R)."""
 
     name = "DXR"
+    fib_limit = 0xFFFF  # 16-bit next-hop entries
 
     def __init__(
         self,
@@ -103,6 +104,7 @@ class Dxr(LookupStructure):
     @classmethod
     def from_rib(cls, rib: Rib, config=None, **options) -> "Dxr":
         config = DxrConfig.resolve(config, options)
+        check_fib_capacity(cls, rib.max_fib_index())
         s, modified = config.s, config.modified
         width = rib.width
         if width != 32 and not modified:

@@ -29,7 +29,7 @@ from array import array
 from typing import List, Optional, Tuple
 
 from repro.errors import StructuralLimitError
-from repro.lookup.base import LookupStructure, NoOptions
+from repro.lookup.base import LookupStructure, NoOptions, check_fib_capacity
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
 from repro.net.rib import Rib, RibNode
@@ -94,6 +94,7 @@ class Lulea(LookupStructure):
     """Three-level Lulea-compressed IPv4 lookup table."""
 
     name = "Lulea"
+    fib_limit = _CHUNK_FLAG - 1  # the top bit of an entry is the chunk flag
 
     def __init__(self) -> None:
         self.width = 32
@@ -106,9 +107,7 @@ class Lulea(LookupStructure):
         NoOptions.resolve(config, options)
         if rib.width != 32:
             raise ValueError("Lulea is an IPv4 structure")
-        max_fib = rib.max_fib_index()
-        if max_fib >= _CHUNK_FLAG:
-            raise StructuralLimitError("Lulea: next hops must fit in 15 bits")
+        check_fib_capacity(cls, rib.max_fib_index())
         structure = cls()
         chunk_counts = [0, 0, 0]
 

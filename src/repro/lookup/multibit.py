@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from array import array
 from typing import Optional
 
-from repro.lookup.base import LookupStructure, StructureConfig
+from repro.lookup.base import LookupStructure, StructureConfig, check_fib_capacity
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
 from repro.net.rib import Rib, RibNode
@@ -41,6 +41,7 @@ class MultibitTrie(LookupStructure):
     """Uncompressed 2^k-ary trie (k = 6 by default, like Poptrie)."""
 
     name = "Multibit"
+    fib_limit = 0xFFFF  # 16-bit next-hop entries
 
     def __init__(self, k: int, width: int) -> None:
         if not 1 <= k <= 8:
@@ -63,6 +64,7 @@ class MultibitTrie(LookupStructure):
     @classmethod
     def from_rib(cls, rib: Rib, config=None, **options) -> "MultibitTrie":
         config = MultibitConfig.resolve(config, options)
+        check_fib_capacity(cls, rib.max_fib_index())
         trie = cls(config.k, rib.width)
         trie._append_node()
         trie._build(rib.root, 0, NO_ROUTE)

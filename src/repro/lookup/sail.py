@@ -27,7 +27,7 @@ from array import array
 from typing import List
 
 from repro.errors import StructuralLimitError
-from repro.lookup.base import LookupStructure, NoOptions
+from repro.lookup.base import LookupStructure, NoOptions, check_fib_capacity
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
 from repro.net.rib import Rib
@@ -44,6 +44,7 @@ class Sail(LookupStructure):
     """SAIL_L: level-pushed 16/24/32 arrays with 16-bit BCN entries."""
 
     name = "SAIL"
+    fib_limit = _CHUNK_FLAG - 1  # the top bit of an entry is the chunk flag
 
     def __init__(self, bcn16: array, bcn24: array, n32: array) -> None:
         self.bcn16 = bcn16
@@ -59,9 +60,7 @@ class Sail(LookupStructure):
         NoOptions.resolve(config, options)
         if rib.width != 32:
             raise ValueError("SAIL_L is an IPv4 structure")
-        max_fib = rib.max_fib_index()
-        if max_fib >= _CHUNK_FLAG:
-            raise StructuralLimitError("SAIL: next-hop indices must fit in 15 bits")
+        check_fib_capacity(cls, rib.max_fib_index())
 
         bcn16 = array("H", bytes(2 << 16))
         chunks24: List[array] = []

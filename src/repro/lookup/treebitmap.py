@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from array import array
 from typing import List, Optional, Tuple
 
-from repro.lookup.base import LookupStructure, StructureConfig
+from repro.lookup.base import LookupStructure, StructureConfig, check_fib_capacity
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
 from repro.net.rib import Rib, RibNode
@@ -54,6 +54,7 @@ class TreeBitmap(LookupStructure):
     """Tree BitMap with configurable stride (4 = original, 6 = 64-ary)."""
 
     name = "Tree BitMap"
+    fib_limit = 0xFFFF  # 16-bit next-hop entries
 
     def __init__(self, stride: int, width: int) -> None:
         if not 1 <= stride <= 6:
@@ -77,6 +78,7 @@ class TreeBitmap(LookupStructure):
     @classmethod
     def from_rib(cls, rib: Rib, config=None, **options) -> "TreeBitmap":
         config = TreeBitmapConfig.resolve(config, options)
+        check_fib_capacity(cls, rib.max_fib_index())
         tbm = cls(config.stride, rib.width)
         tmp_root = tbm._build_tmp(rib.root)
         tbm._serialize(tmp_root)

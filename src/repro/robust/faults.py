@@ -12,10 +12,12 @@ threaded through the library:
     mid-subtree-build, modelling an exception while the replacement subtree
     is being constructed on the side.
 ``update``
-    ``TransactionalPoptrie.apply_stream`` and ``UpdatePipeline`` (before
-    it journals) — the Nth update is *corrupted* (bad kind, negative or
-    overflowing next hop, chosen by the plan's seeded RNG) instead of
-    raising, modelling a malformed BGP message on the wire.
+    exactly two sites, each reached once per update:
+    ``UpdatePipeline._validate`` (before the update check and the
+    journal) and ``TransactionalPoptrie.apply_stream`` — the Nth update
+    is *corrupted* (bad kind, negative or overflowing next hop, chosen
+    by the plan's seeded RNG) instead of raising, modelling a malformed
+    BGP message on the wire.
 ``snapshot``
     :func:`repro.parallel.image.save_structure` — the emitted blob
     is truncated by ``truncate_snapshot`` bytes, modelling a partial write

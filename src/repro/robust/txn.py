@@ -3,8 +3,10 @@
 :class:`TransactionalPoptrie` wraps the incremental update engine of
 :class:`~repro.core.update.UpdatablePoptrie` in per-update transactions:
 
-- **Validation first.**  Malformed updates (unknown kind, bad next hop,
-  withdrawal of an absent prefix, wrong address family) are rejected with
+- **Check first.**  Every update passes
+  :func:`repro.data.updates.check_update`: malformed ones (unknown kind,
+  a next hop outside ``1..fib_limit``, withdrawal of an absent prefix,
+  wrong address family) are rejected with
   :class:`~repro.errors.UpdateRejectedError` before anything is touched.
 - **Stage, then commit.**  The update engine builds the replacement
   subtree entirely on the side (fresh buddy blocks, children before
@@ -38,12 +40,12 @@ journal writer: it group-commits a message before the engine applies it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Iterable, List, Optional
 
 from repro.core.poptrie import Poptrie, PoptrieConfig
 from repro.core.update import UpdatablePoptrie
-from repro.data.updates import validate_update
+from repro.data.updates import StreamReport, Update, check_update
 from repro.errors import ReplaceCostExceeded, ReproError, UpdateRejectedError
 from repro.mem.buddy import OutOfMemory
 from repro.net.prefix import Prefix
@@ -81,25 +83,6 @@ def _count_txn(outcome: str) -> None:
         "Transactional update outcomes by kind.",
         outcome=outcome,
     ).inc()
-
-
-@dataclass
-class StreamReport:
-    """What happened to each message of an :meth:`apply_stream` run."""
-
-    applied: int = 0
-    degraded: int = 0
-    rejected: int = 0
-    errors: List[Tuple[int, str]] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return self.applied + self.rejected
-
-    def refuse(self, position: int, error: BaseException) -> None:
-        """Record message ``position`` as rejected by ``error``."""
-        self.rejected += 1
-        self.errors.append((position, f"{type(error).__name__}: {error}"))
 
 
 class Transaction:
@@ -182,22 +165,18 @@ class TransactionalPoptrie(UpdatablePoptrie):
     # -- transactional announce/withdraw -------------------------------------
 
     def announce(self, prefix: Prefix, fib_index: int) -> None:
-        self._transact("A", prefix, fib_index)
+        self._transact(Update("A", prefix, fib_index))
 
     def withdraw(self, prefix: Prefix) -> None:
-        self._transact("W", prefix, None)
+        self._transact(Update("W", prefix))
 
-    def _transact(self, kind: str, prefix: Prefix, fib_index: Optional[int]) -> None:
+    def _transact(self, update: Update) -> None:
         try:
-            if kind == "A":
-                self.check_announce(prefix, fib_index)
-            elif kind == "W":
-                self.check_withdraw(prefix)
-            else:
-                raise UpdateRejectedError(f"unknown update kind {kind!r}")
+            check_update(update, self.rib, self.fib_limit)
         except UpdateRejectedError:
             self.count_rejected()
             raise
+        kind, prefix, fib_index = update.kind, update.prefix, update.nexthop
         txn = Transaction(self)
         try:
             if kind == "A":
@@ -277,7 +256,7 @@ class TransactionalPoptrie(UpdatablePoptrie):
 
         Each message passes through the ``update`` fault-injection point
         (so an armed :class:`~repro.robust.faults.FaultPlan` can corrupt it
-        in flight) and is then validated and applied under a transaction.
+        in flight) and is then checked and applied under a transaction.
         ``on_error="skip"`` records failed messages in the report and keeps
         going — the production posture: one bad message must not take down
         the stream; ``on_error="raise"`` re-raises the first failure (state
@@ -289,30 +268,35 @@ class TransactionalPoptrie(UpdatablePoptrie):
         for position, update in enumerate(updates, 1):
             update = faults.mangle_update(update)
             try:
-                try:
-                    validate_update(update)
-                except UpdateRejectedError as error:
-                    self.count_rejected()
-                    raise UpdateRejectedError(
-                        f"message {position}: {error}"
-                    ) from error
-                self._apply_validated(update, report)
+                self._apply_one(update, report)
             except (ReproError, OutOfMemory) as error:
                 report.refuse(position, error)
                 if on_error == "raise":
                     raise
         return report
 
-    def _apply_validated(self, update, report: StreamReport) -> None:
-        """Apply one update that already passed the ``update`` fault point
-        and :func:`validate_update`, counting it in ``report``; a failure
-        raises, rolled back."""
+    def _apply_checked(self, updates, positions, report: StreamReport) -> None:
+        """Apply updates that passed :func:`check_message`, one
+        transaction each, refusing a failed one at its position — the
+        per-update path of :class:`~repro.server.pipeline.UpdatePipeline`
+        and of the registry's ``Poptrie.apply_updates``."""
+        for position, update in zip(positions, updates):
+            try:
+                self._apply_one(update, report)
+            except (ReproError, OutOfMemory) as error:
+                report.refuse(position, error)
+
+    def _apply_one(self, update: Update, report: StreamReport) -> None:
+        """Check and apply one update, counting it in ``report``; a
+        failure raises, rolled back."""
         stats = self.txn_stats
         degradations = stats.fallback_rebuilds + stats.threshold_rebuilds
         if update.kind == "A":
             self.announce(update.prefix, update.nexthop)
-        else:
+        elif update.kind == "W":
             self.withdraw(update.prefix)
+        else:
+            self._transact(update)  # refused: an unknown kind
         report.applied += 1
         report.degraded += (
             stats.fallback_rebuilds + stats.threshold_rebuilds > degradations

@@ -3,24 +3,23 @@
 :class:`UpdatePipeline` is the one write path of ``repro serve
 --journal``, a cluster :class:`~repro.cluster.replica.Replica` (a
 primary's messages, and a replica's shipped records, committed one
-batch per heartbeat) and the churn harness: validate in message order,
-journal with one group commit (one write, one fsync), only then apply,
-publish.  It is the only writer of the write-ahead journal.  Each stage
-is timed into ``repro_update_latency_us``.
+batch per heartbeat) and the churn harness: check in message order
+(the check every engine runs, so no engine journals an update it then
+refuses), journal with one group commit (one write, one fsync), only
+then apply, publish.  It is the only writer of the write-ahead journal.
+Each stage is timed into ``repro_update_latency_us``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from repro.core.update import check_rib_prefix, check_rib_withdraw
-from repro.data.updates import Update, validate_update
-from repro.errors import ReproError, UpdateRejectedError
-from repro.mem.buddy import OutOfMemory
+from repro.data.updates import StreamReport, Update, check_message
+from repro.errors import ReproError
 from repro.robust import faults
-from repro.robust.txn import StreamReport, TransactionalPoptrie, _count_txn
+from repro.robust.txn import TransactionalPoptrie, _count_txn
 
 
 def observe_update_latency(table: str, stage: str, elapsed_us: float) -> None:
@@ -46,10 +45,16 @@ class UpdateReport(StreamReport):
 
 
 class UpdatePipeline:
-    """Validate, journal with one fsync, apply, publish.
+    """Check, journal with one fsync, apply, publish.
 
     ``engine`` is a :class:`TransactionalPoptrie` or a registry structure
-    with a bound RIB (applied through ``apply_updates``).  ``pool`` is
+    with a bound RIB.  Every update is checked in message order by
+    :func:`~repro.data.updates.check_message` against the RIB and
+    ``engine.fib_limit`` before the journal sees it; only the accepted
+    ones are journaled.  The apply step follows the engine kind: one
+    transaction per update for a :class:`TransactionalPoptrie`,
+    ``apply_updates`` for a registry structure (per-update surgery for
+    Poptrie, one rebuild per message for the others).  ``pool`` is
     the worker pool behind ``handle`` under ``serve --workers``;
     ``checkpoint_every`` > 0 checkpoints once that many records follow
     the last checkpoint.  Callers serialise messages.  Calling it
@@ -78,7 +83,12 @@ class UpdatePipeline:
         report = UpdateReport()
         stages = report.stages_us
         started = time.perf_counter()
-        accepted, positions = self._validate(updates, txn, rib, report)
+        accepted, positions = self._validate(
+            updates, rib, engine.fib_limit, report
+        )
+        if txn is not None:
+            for _ in range(report.rejected):
+                txn.count_rejected()
         fsyncs = journal.stats.fsyncs
         if accepted:
             try:
@@ -95,16 +105,15 @@ class UpdatePipeline:
         stages["journal"] = (journaled - started - fsync_s) * 1e6
         stages["fsync"] = fsync_s * 1e6
         if txn is not None:
-            for position, update in zip(positions, accepted):
-                try:
-                    txn._apply_validated(update, report)
-                except (ReproError, OutOfMemory) as error:
-                    report.refuse(position, error)
+            txn._apply_checked(accepted, positions, report)
         elif accepted:
             counts = engine.apply_updates(accepted)
             report.applied = counts["applied"]
-            report.degraded = counts.get("degraded", 0)
+            report.degraded = counts["degraded"]
             report.rejected += counts["rejected"]
+            report.errors += [
+                (positions[at - 1], text) for at, text in counts["errors"]
+            ]
         report.errors.sort()
         applied = time.perf_counter()
         stages["apply"] = (applied - journaled) * 1e6
@@ -133,30 +142,11 @@ class UpdatePipeline:
         return report
 
     @staticmethod
-    def _validate(updates, txn, rib, report: UpdateReport):
-        """The accepted updates, and their (1-based) message positions."""
-        routed: Dict = {}  # prefix -> routed after the message so far
-        accepted: List[Update] = []
-        positions: List[int] = []
-        for position, update in enumerate(updates, 1):
-            update = faults.mangle_update(update)
-            try:
-                validate_update(update)
-                if update.kind == "W":
-                    check_rib_withdraw(rib, update.prefix, routed)
-                elif txn is not None:
-                    txn.check_announce(update.prefix, update.nexthop)
-                else:
-                    check_rib_prefix(rib, update.prefix)
-            except UpdateRejectedError as error:
-                if txn is not None:
-                    txn.count_rejected()
-                report.refuse(position, error)
-                continue
-            routed[update.prefix] = update.kind == "A"
-            accepted.append(update)
-            positions.append(position)
-        return accepted, positions
+    def _validate(updates, rib, fib_limit: int, report: UpdateReport):
+        """The accepted updates, and their (1-based) message positions:
+        the ``update`` fault point, then :func:`check_message`."""
+        mangled = [faults.mangle_update(update) for update in updates]
+        return check_message(mangled, rib, fib_limit, report)
 
 
 __all__ = ["UpdatePipeline", "UpdateReport", "observe_update_latency"]

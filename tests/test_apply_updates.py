@@ -114,3 +114,43 @@ def test_incremental_engines_keep_identity_across_updates():
     assert id(structure) == before
     keys = [int(k) for k in random_addresses(300, seed=SEED)]
     assert structure.verify_against(rib, keys) == []
+
+
+@pytest.mark.parametrize("name", ["SAIL", "Radix"])
+def test_failed_rebuild_refuses_the_batch_and_keeps_the_table(
+    name, probe_keys
+):
+    """A rebuild that hits a structural limit after valid updates undoes
+    the batch's RIB mutations, keeps serving the old table and refuses
+    every update at its position; the next batch applies normally."""
+    from repro.errors import StructuralLimitError
+
+    entry = registry.get(name)
+    rib = _fresh_rib()
+    structure = entry.from_rib(rib)
+    failures = []
+
+    def flaky_rebuild(r):
+        if not failures:
+            failures.append(r)
+            raise StructuralLimitError("more than 2^15 second-level chunks")
+        return entry.from_rib(r)
+
+    structure.bind_rib(rib, rebuild=flaky_rebuild)
+    routes = sorted(rib.routes())
+    before = structure.lookup_batch(probe_keys)
+    updates = generate_stream(rib, count=16, seed=SEED)
+    report = structure.apply_updates(updates)
+    assert failures
+    assert (report["applied"], report["rejected"]) == (0, 16)
+    assert [position for position, _ in report["errors"]] == list(range(1, 17))
+    assert all("StructuralLimitError" in text for _, text in report["errors"])
+    assert sorted(rib.routes()) == routes
+    assert np.array_equal(structure.lookup_batch(probe_keys), before)
+
+    report = structure.apply_updates(updates)
+    assert (report["applied"], report["rejected"]) == (16, 0)
+    reference = entry.from_rib(rib)
+    assert np.array_equal(
+        structure.lookup_batch(probe_keys), reference.lookup_batch(probe_keys)
+    )

@@ -13,12 +13,12 @@ from tests.conftest import boundary_keys, random_keys
 
 from repro.lookup.registry import standard_roster
 from repro.core.poptrie import Poptrie, PoptrieConfig
-from repro.core.update import UpdatablePoptrie
 from repro.data.datasets import load_dataset, load_dataset_v6
 from repro.data.traffic import random_addresses, real_trace, repeated_addresses
-from repro.data.updates import replay_updates, generate_update_stream
+from repro.data.updates import generate_update_stream
 from repro.lookup.dxr import Dxr
 from repro.net.rib import Rib
+from repro.robust.txn import TransactionalPoptrie
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +87,9 @@ class TestUpdateFlowEndToEnd:
         rib = Rib()
         for prefix, hop in dataset.rib.routes():
             rib.insert(prefix, hop)
-        up = UpdatablePoptrie(PoptrieConfig(s=16), rib=rib)
+        up = TransactionalPoptrie(PoptrieConfig(s=16), rib=rib)
         stream = generate_update_stream(dataset.rib, 300, seed=6)
-        replay_updates(up, stream)
+        up.apply_stream(stream)
         # After the churn, the incremental structure equals a rebuild.
         rebuilt = Poptrie.from_rib(up.rib, up.trie.config)
         for key in random_keys(3000, seed=7):

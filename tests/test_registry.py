@@ -6,6 +6,7 @@ import pytest
 
 from repro.lookup import registry
 from repro.lookup.base import LookupStructure, NoOptions
+from repro.net.rib import Rib
 from tests.conftest import boundary_keys, make_random_rib, random_keys
 
 
@@ -164,3 +165,27 @@ class TestStandardRoster:
             rib, names=("D16R",), modified_dxr=True
         )
         assert roster["D16R"].modified
+
+    @pytest.mark.parametrize("top", [(1 << 16) - 1, 1 << 16])
+    def test_next_hop_beyond_a_fib_limit_is_na(self, rib, top):
+        """A structure whose next-hop field cannot hold the table's
+        largest FIB index maps to None (Table 5's N/A); every other
+        entry builds and agrees with the RIB."""
+        from repro.net.prefix import Prefix
+
+        wide = Rib()
+        for prefix, hop in rib.routes():
+            wide.insert(prefix, hop)
+        wide.insert(Prefix.parse("198.51.100.0/24"), top)
+        roster = registry.standard_roster(wide, names=registry.available())
+        fifteen_bit = {"DIR-24-8", "Lulea", "SAIL"}
+        sixteen_bit = {
+            "D16R", "D18R", "Multibit", "Tree BitMap",
+            "Tree BitMap (64-ary)", "Poptrie0", "Poptrie16", "Poptrie18",
+        }
+        expected = fifteen_bit | (sixteen_bit if top > 0xFFFF else set())
+        assert {n for n, s in roster.items() if s is None} == expected
+        keys = boundary_keys(wide) + random_keys(500, seed=23)
+        for name, structure in roster.items():
+            if structure is not None:
+                assert structure.verify_against(wide, keys) == [], name

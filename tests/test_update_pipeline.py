@@ -23,6 +23,7 @@ import pytest
 
 from repro.data.updates import Update, generate_update_stream
 from repro.errors import JournalCorrupt, ReproError
+from repro.lookup import registry
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
 from repro.parallel.image import structure_to_bytes
@@ -66,21 +67,41 @@ def journal_records(directory: str):
     ]
 
 
-def make_pipeline(directory: str):
+def make_engine(name: str, rib: Rib):
+    """A :class:`TransactionalPoptrie`, or the registry entry ``name``
+    built from ``rib``."""
+    if name == "TransactionalPoptrie":
+        return TransactionalPoptrie(rib=rib, fallback_rebuild=False)
+    return registry.get(name).from_rib(rib)
+
+
+def engine_rib(engine) -> Rib:
+    """The RIB an engine keeps up to date."""
+    if isinstance(engine, TransactionalPoptrie):
+        return engine.rib
+    return engine.update_rib
+
+
+def make_pipeline(directory: str, name: str = "TransactionalPoptrie"):
     """A checkpointed journal and the pipeline that owns it."""
     rib = base_rib()
     journal = Journal(directory)
     journal.checkpoint(rib)
-    txn = TransactionalPoptrie(rib=rib, fallback_rebuild=False)
-    return UpdatePipeline(txn, journal, TableHandle(txn.trie)), txn, journal
+    engine = make_engine(name, rib)
+    served = engine.trie if isinstance(engine, TransactionalPoptrie) else engine
+    return UpdatePipeline(engine, journal, TableHandle(served)), engine, journal
 
 
 def positions(report: StreamReport):
     return [position for position, _ in report.errors]
 
 
+ENGINES = ["TransactionalPoptrie", *registry.available()]
+
+
 class TestOrderedValidation:
-    def test_message_matches_one_at_a_time_replay(self, tmp_path):
+    @pytest.mark.parametrize("name", ENGINES)
+    def test_message_matches_one_at_a_time_replay(self, tmp_path, name):
         p = Prefix.parse("198.51.100.0/24")
         q = Prefix.parse("203.0.113.0/24")
         absent = Prefix.parse("192.0.2.128/25")
@@ -89,7 +110,7 @@ class TestOrderedValidation:
             Update("W", p),
             Update("W", p),       # already withdrawn earlier in the message
             Update("W", absent),  # never in the RIB
-            Update("A", q, 1 << 16),  # next hop beyond the leaf encoding
+            Update("A", q, 1 << 16),  # beyond every 16-bit next-hop field
             Update("A", q, 3),
         ]
         for prefix in (p, q, absent):
@@ -99,38 +120,91 @@ class TestOrderedValidation:
         # journaled only once the engine took it.
         reference_dir = str(tmp_path / "reference")
         reference_journal = Journal(reference_dir)
-        reference = TransactionalPoptrie(rib=base_rib())
+        reference = make_engine(name, base_rib())
         expected = StreamReport()
         for position, update in enumerate(message, 1):
-            try:
-                if update.kind == "A":
-                    reference.announce(update.prefix, update.nexthop)
-                else:
-                    reference.withdraw(update.prefix)
-            except ReproError as error:
-                expected.rejected += 1
-                expected.errors.append((position, str(error)))
+            if name == "TransactionalPoptrie":
+                try:
+                    if update.kind == "A":
+                        reference.announce(update.prefix, update.nexthop)
+                    else:
+                        reference.withdraw(update.prefix)
+                except ReproError as error:
+                    expected.refuse(position, error)
+                    continue
             else:
-                expected.applied += 1
-                reference_journal.append([update])
+                counts = reference.apply_updates([update])
+                if counts["rejected"]:
+                    expected.errors += [
+                        (position, text) for _, text in counts["errors"]
+                    ]
+                    expected.rejected += 1
+                    continue
+            expected.applied += 1
+            reference_journal.append([update])
         reference_journal.close()
 
         pipeline_dir = str(tmp_path / "pipeline")
-        pipeline, txn, journal = make_pipeline(pipeline_dir)
+        pipeline, engine, journal = make_pipeline(pipeline_dir, name)
         fsyncs = journal.stats.fsyncs
         report = pipeline.apply(message)
         journal.close()
 
-        assert (report.applied, report.rejected) == (3, 3)
+        refused = [3, 4, 5] if engine.fib_limit < 1 << 16 else [3, 4]
+        assert report.rejected == len(refused) == 6 - report.applied
         assert (report.applied, report.rejected) == (
             expected.applied, expected.rejected
         )
-        assert positions(report) == positions(expected) == [3, 4, 5]
+        assert report.errors == expected.errors
+        assert positions(report) == refused
         assert journal_records(pipeline_dir) == journal_records(reference_dir)
-        assert len(journal_records(pipeline_dir)) == 3
+        assert len(journal_records(pipeline_dir)) == report.applied
         assert journal.stats.fsyncs == fsyncs + 1
-        assert route_set(txn.rib) == route_set(reference.rib)
-        assert txn.txn_stats.rejected == reference.txn_stats.rejected == 3
+        assert route_set(engine_rib(engine)) == route_set(engine_rib(reference))
+        if name == "TransactionalPoptrie":
+            assert engine.txn_stats.rejected == reference.txn_stats.rejected == 3
+
+    @pytest.mark.parametrize("name", registry.available())
+    def test_unencodable_next_hop_is_refused_before_the_journal(
+        self, tmp_path, name
+    ):
+        """A next hop one past the engine's ``fib_limit`` is refused
+        before the group commit: no record, no exception, and the next
+        valid message applies."""
+        directory = str(tmp_path)
+        pipeline, structure, journal = make_pipeline(directory, name)
+        p = Prefix.parse("198.51.100.0/24")
+        seqno, records = journal.last_seqno, journal_records(directory)
+        report = pipeline.apply([Update("A", p, structure.fib_limit + 1)])
+        assert (report.applied, report.rejected) == (0, 1)
+        assert "outside 1.." in report.errors[0][1]
+        assert journal.last_seqno == report.seqno == seqno
+        assert journal_records(directory) == records
+
+        report = pipeline.apply([Update("A", p, 3)])
+        assert (report.applied, report.rejected) == (1, 0)
+        assert journal.last_seqno == seqno + 1
+        assert structure.lookup(p.value) == 3
+        journal.close()
+
+    @pytest.mark.parametrize("name", ["TransactionalPoptrie", "Poptrie18", "SAIL"])
+    def test_fault_point_fires_once_per_update(self, tmp_path, name):
+        """The ``update`` fault point fires once per update of a message
+        (at the pipeline, never again inside the engine), so exactly the
+        updates that were journaled are applied, and recovery rebuilds
+        the live RIB."""
+        directory = str(tmp_path)
+        pipeline, engine, journal = make_pipeline(directory, name)
+        message = generate_update_stream(base_rib(), 16, seed=8)
+        seqno = journal.last_seqno
+        with FaultPlan(corrupt_update_every=5, seed=1) as plan:
+            report = pipeline.apply(message)
+        assert plan.counters["update"] == len(message)
+        assert positions(report) == [5, 10, 15]
+        assert (report.applied, report.rejected) == (13, 3)
+        assert journal.last_seqno == seqno + report.applied
+        journal.close()
+        assert route_set(recover(directory).rib) == route_set(engine_rib(engine))
 
 
 class TestGroupCommitFaults:

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.core.poptrie import PoptrieConfig
-from repro.core.update import UpdatablePoptrie
+from repro.robust.txn import TransactionalPoptrie
 from repro.data.synth import generate_table
 from repro.data.updates import (
     PAPER_ANNOUNCE_FRACTION,
     PAPER_UPDATE_COUNT,
     Update,
-    replay_updates,
     generate_update_stream,
 )
 from repro.net.rib import Rib
@@ -69,10 +68,10 @@ class TestGeneration:
 
 class TestReplay:
     def test_apply_updates_keeps_fib_consistent(self, table):
-        up = UpdatablePoptrie(PoptrieConfig(s=16), rib=_copy(table))
+        up = TransactionalPoptrie(PoptrieConfig(s=16), rib=_copy(table))
         stream = generate_update_stream(table, 400, seed=7)
-        count = replay_updates(up, stream)
-        assert count == 400
+        report = up.apply_stream(stream)
+        assert report.applied == 400
         import random
 
         rng = random.Random(8)
@@ -81,8 +80,8 @@ class TestReplay:
             assert up.lookup(key) == up.rib.lookup(key)
 
     def test_stats_accumulate(self, table):
-        up = UpdatablePoptrie(PoptrieConfig(s=16), rib=_copy(table))
-        replay_updates(up, generate_update_stream(table, 200, seed=9))
+        up = TransactionalPoptrie(PoptrieConfig(s=16), rib=_copy(table))
+        up.apply_stream(generate_update_stream(table, 200, seed=9))
         assert up.stats.updates >= 190  # same-hop re-announces are no-ops
 
 
