@@ -5,7 +5,7 @@ scenario measures the *served* system under sustained churn — the shape
 production actually cares about.  ``repro serve``'s own update pipeline
 feeds a live :class:`~repro.server.service.LookupServer`:
 
-    wire (OP_UPDATE) → validate → journal + one fsync → engine apply → publish
+    wire (OP_UPDATE) → check → engine stage → journal + one fsync → publish
 
 while an open-loop :class:`~repro.server.loadgen.LoadGenerator` keeps
 firing lookups, so the lookup p50/p99 recorded here is the latency

@@ -177,8 +177,7 @@ async def _wait_synced(
     deadline = time.monotonic() + SYNC_TIMEOUT_S
     while True:
         synced = all(
-            node.txn is not None
-            and len(node.txn.rib) == route_count
+            node.info()["routes"] == route_count
             and node.applied_seqno >= seqno
             for node in nodes
         )
@@ -186,7 +185,7 @@ async def _wait_synced(
             return
         if time.monotonic() > deadline:
             states = [
-                (node.name, node.applied_seqno, len(node.txn.rib))
+                (node.name, node.applied_seqno, node.info()["routes"])
                 for node in nodes
             ]
             raise ClusterError(f"replicas failed to sync: {states}")

@@ -51,14 +51,6 @@ class Table:
             lines.append("  ".join(c.rjust(w) for c, w in zip(row, widths)))
         return "\n".join(lines)
 
-    def render_with_metrics(self) -> str:
-        """The table plus, when observability is enabled, a Prometheus
-        text dump of everything the run recorded (benchmarks call this so
-        ``--metrics`` turns any table into table + metrics)."""
-        text = self.render()
-        metrics = metrics_dump()
-        return f"{text}\n\n{metrics}" if metrics else text
-
     def print(self) -> None:  # pragma: no cover - console convenience
         print()
         print(self.render())

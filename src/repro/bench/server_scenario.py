@@ -7,10 +7,10 @@ persists one JSON artifact (``BENCH_server.json``) with throughput and
 p50/p99/p999 latency so successive PRs can be compared number-for-number.
 
 The mid-run hot swap is driven the way production would drive it: a
-:class:`~repro.robust.txn.TransactionalPoptrie` commits a route
-announcement on the control plane, and the resulting structure is
-published through :meth:`~repro.server.handle.TableHandle.swap_async`
-while the load generator keeps firing.  Zero errored responses across
+route announcement is applied to a fresh build of the served entry off
+to the side, and that structure is published through
+:meth:`~repro.server.handle.TableHandle.swap_async` while the load
+generator keeps firing.  Zero errored responses across
 the swap is part of the scenario's contract (the CI smoke job asserts
 it).
 """
@@ -21,7 +21,7 @@ import asyncio
 import json
 from typing import Optional
 
-from repro.core.poptrie import Poptrie
+from repro.data.updates import Update
 from repro.net.prefix import Prefix
 from repro.server import (
     LoadGenConfig,
@@ -31,7 +31,7 @@ from repro.server import (
     TableHandle,
 )
 
-#: The prefix the mid-run transaction announces (kept clear of the
+#: The prefix the mid-run update announces (kept clear of the
 #: synthesised tables' 1.0.0.0-223.255.255.255 unicast spread by using a
 #: /9 more specific inside 198.0.0.0/8 with a distinctive next hop).
 SWAP_PREFIX = "198.128.0.0/9"
@@ -118,7 +118,7 @@ async def _run(
     swap_generation: Optional[int] = None
     if swap_mid_run:
         await asyncio.sleep(duration / 2)
-        swap_generation = await _transactional_swap(handle, entry, rib)
+        swap_generation = await _update_and_swap(handle, entry, rib)
     report = await load
     stats = server.describe()
     await server.stop()
@@ -148,23 +148,14 @@ async def _run(
     return result
 
 
-async def _transactional_swap(handle: TableHandle, entry, rib) -> int:
-    """Commit one route update transactionally and hot-swap the result.
-
-    The transaction owns the control-plane consistency story (validate,
-    stage, commit-or-roll-back); the handle owns publication.  For
-    Poptrie entries the transaction's own trie is published directly;
-    for baseline algorithms the updated RIB is recompiled through the
-    registry entry so the served structure stays the benchmarked one.
-    """
-    from repro.robust.txn import TransactionalPoptrie
-
-    txn = TransactionalPoptrie(rib=rib)
-    txn.announce(Prefix.parse(SWAP_PREFIX), SWAP_NEXTHOP)
-    if isinstance(handle.structure, Poptrie):
-        replacement = txn.trie
-    else:
-        replacement = await asyncio.to_thread(entry.from_rib, txn.rib)
+async def _update_and_swap(handle: TableHandle, entry, rib) -> int:
+    """Announce one route on a fresh build of ``entry`` and hot-swap it
+    in: the update owns the table's consistency, the handle owns
+    publication."""
+    replacement = await asyncio.to_thread(entry.from_rib, rib)
+    replacement.apply_updates(
+        [Update("A", Prefix.parse(SWAP_PREFIX), SWAP_NEXTHOP)]
+    )
     return await handle.swap_async(replacement)
 
 

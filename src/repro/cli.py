@@ -380,9 +380,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         target = roster.get("Poptrie18") or next(
             (s for s in roster.values() if s is not None), None
         )
-        if target is not None and target.update_rib is not None:
+        if target is not None and target.rib is not None:
             target.apply_updates(
-                generate_stream(target.update_rib, count=64, seed=args.seed)
+                generate_stream(target.rib, count=64, seed=args.seed)
             )
             target.stats()
         print()
@@ -608,8 +608,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from repro.core.aggregate import aggregated_rib
     from repro.data.synth import generate_table
     from repro.data.traffic import random_addresses
-    from repro.lookup.registry import standard_roster
-    from repro.robust.txn import TransactionalPoptrie
+    from repro.lookup.registry import get as get_algorithm, standard_roster
     from repro.router.pipeline import ForwardingPipeline
 
     stack = contextlib.ExitStack()
@@ -654,13 +653,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
             from repro.robust.journal import Journal
             from repro.server import TableHandle, UpdatePipeline
 
-            txn = TransactionalPoptrie(rib=aggregated_rib(rib))
-            txn.trie.enable_obs()
-            stream = generate_stream(txn.rib, count=120, seed=args.seed)
+            engine = get_algorithm("Poptrie18").from_rib(aggregated_rib(rib))
+            engine.enable_obs()
+            stream = generate_stream(engine.rib, count=120, seed=args.seed)
             with tempfile.TemporaryDirectory() as jdir:
                 with Journal(jdir) as journal:
                     pipeline = UpdatePipeline(
-                        txn, journal, TableHandle(txn.trie)
+                        engine, journal, TableHandle(engine)
                     )
                     for i in range(0, len(stream), 16):
                         pipeline.apply(stream[i:i + 16])
@@ -721,26 +720,32 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "--min-insync requires --repl-port (the quorum is counted "
             "over replication subscribers)"
         )
-    rebuild = None
-    txn = journal = None
+    from repro.lookup import registry
+
+    try:
+        entry = registry.get(args.algorithm)
+    except KeyError as error:
+        raise _UsageError(error.args[0]) from None
+    if args.repl_port is not None:
+        from repro.cluster.replica import REPLICA_ALGORITHM as replicas
+
+        if entry.fib_limit > registry.get(replicas).fib_limit:
+            raise _UsageError(
+                f"--repl-port: replicas run {replicas}, and {entry.name} "
+                "takes next hops they refuse"
+            )
+    rebuild = journal = None
     if args.journal:
-        txn, journal, routes = _recover_for_serve(args, path)
-        structure = txn.trie
-        rebuild = lambda: Poptrie.from_rib(txn.rib)  # noqa: E731
+        structure, journal, routes = _recover_for_serve(args, path, entry)
     elif _is_snapshot(path):
         structure = _load_structure(path)
         routes = "snapshot"
     else:
-        from repro.lookup.registry import get as get_algorithm
-
-        rib = tableio.load_table(path)
-        try:
-            entry = get_algorithm(args.algorithm)
-        except KeyError as error:
-            raise _UsageError(error.args[0]) from None
-        structure = entry.from_rib(rib)
+        structure = entry.from_rib(tableio.load_table(path))
+        routes = f"{len(structure.rib)} routes"
+    if structure.rib is not None:
+        rib = structure.rib
         rebuild = lambda: entry.from_rib(rib)  # noqa: E731 (OP_RELOAD hook)
-        routes = f"{len(rib)} routes"
     if args.metrics:
         obs.enable()
     pool = None
@@ -778,8 +783,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ),
         rebuild=rebuild,
         apply_updates=(
-            UpdatePipeline(txn, journal, handle, pool=pool)
-            if txn is not None else None
+            UpdatePipeline(structure, journal, handle, pool=pool)
+            if journal is not None else None
         ),
     )
 
@@ -861,22 +866,19 @@ def _quorum_config(args: argparse.Namespace):
     )
 
 
-def _recover_for_serve(args: argparse.Namespace, table_path: Optional[str]):
+def _recover_for_serve(args, table_path: Optional[str], entry):
     """The ``serve --journal DIR`` startup path.
 
-    Recovers the durable state (newest checkpoint + replayed tail,
-    verified) and serves it.  A *fresh* journal directory with a
-    ``--table`` seeds the journal from the table and writes the initial
-    checkpoint, so the next crash-restart cycle already has durable state
-    to recover; when the journal holds state, it wins over ``--table``
-    (the journal is the authority on what was durably committed).
+    Recovers the durable RIB (newest checkpoint + replayed tail) and
+    compiles it once with ``entry``, checked against the RIB.  A *fresh*
+    journal directory with a ``--table`` is seeded from the table with
+    an initial checkpoint; a journal holding state wins over ``--table``
+    (it is the authority on what was durably committed).
 
-    Returns ``(txn, journal, routes_text)``: the update pipeline journals
-    through the *open* journal before the engine applies, and the caller
-    owns closing it on shutdown.
+    Returns ``(structure, journal, routes_text)``; the caller owns
+    closing the open journal on shutdown.
     """
-    from repro.robust.journal import Journal, recover
-    from repro.robust.txn import TransactionalPoptrie
+    from repro.robust.journal import Journal, compile_recovered, recover
 
     journal = Journal(args.journal)
     fresh = journal.last_seqno == 0 and journal.checkpoint_seqno == 0
@@ -886,7 +888,7 @@ def _recover_for_serve(args: argparse.Namespace, table_path: Optional[str]):
         loaded = time.perf_counter()
         journal.checkpoint(rib)
         checkpointed = time.perf_counter()
-        txn = TransactionalPoptrie(width=rib.width, rib=rib)
+        structure = entry.from_rib(rib)
         built = time.perf_counter()
         print(
             f"journal {args.journal}: fresh; seeded from {table_path} "
@@ -898,8 +900,9 @@ def _recover_for_serve(args: argparse.Namespace, table_path: Optional[str]):
     else:
         journal.close()
         result = recover(args.journal)
-        rib = result.rib
-        txn = result.trie
+        started = time.perf_counter()
+        structure = compile_recovered(result.rib, entry.name)
+        built = time.perf_counter()
         journal = Journal(args.journal)
         summary = result.describe()
         print(
@@ -908,7 +911,8 @@ def _recover_for_serve(args: argparse.Namespace, table_path: Optional[str]):
             f"{summary['replayed']} replayed, {summary['skipped']} skipped, "
             f"{summary['torn_bytes']} torn bytes discarded) "
             f"in {summary['duration_s'] * 1000:.1f} ms; "
-            f"applied seqno {summary['applied_seqno']}"
+            f"applied seqno {summary['applied_seqno']}; "
+            f"{entry.name} compiled and checked in {built - started:.2f} s"
         )
         if table_path is not None:
             print(
@@ -916,7 +920,7 @@ def _recover_for_serve(args: argparse.Namespace, table_path: Optional[str]):
                 "holds durable state",
                 file=sys.stderr,
             )
-    return txn, journal, f"{len(rib)} recovered routes"
+    return structure, journal, f"{len(structure.rib)} recovered routes"
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
@@ -1136,17 +1140,23 @@ def cmd_churn(args: argparse.Namespace) -> int:
 def cmd_recover(args: argparse.Namespace) -> int:
     """Inspect or repair a route-update journal offline.
 
-    Recovers the durable state exactly as ``serve --journal`` would and
-    prints what it found.  ``--output`` writes the recovered table;
+    Recovers the durable RIB exactly as ``serve --journal`` would,
+    checks a Poptrie18 compile of it (unless ``--no-verify``) and prints
+    what it found.  ``--output`` writes the recovered table;
     ``--compact`` folds the replayed tail into a fresh checkpoint and
     truncates the segments (repair after a crash, or routine journal
     maintenance).  Exits 1 on :class:`~repro.errors.JournalCorrupt`.
     """
-    from repro.robust.journal import Journal, recover
+    from repro.lookup import registry
+    from repro.robust.journal import Journal, compile_recovered, recover
 
-    result = recover(
-        args.journal, verify=not args.no_verify, samples=args.samples
-    )
+    result = recover(args.journal)
+    verified = "" if args.no_verify else ", verified"
+    widest, limit = result.rib.max_fib_index(), registry.get("Poptrie18").fib_limit
+    if verified and widest > limit:  # a wider engine's journal, not a fault
+        verified = f", not verified (next hop {widest} > Poptrie18's {limit})"
+    elif verified:
+        compile_recovered(result.rib, samples=args.samples)
     summary = result.describe()
     print(f"journal {args.journal}:")
     print(
@@ -1170,7 +1180,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
     print(
         f"  state: {summary['routes']} routes at seqno "
         f"{summary['last_seqno']}"
-        + ("" if args.no_verify else ", verified")
+        + verified
         + f" ({summary['duration_s'] * 1000:.1f} ms)"
     )
     for message in result.errors:
@@ -1625,7 +1635,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fold the tail into a fresh checkpoint and "
                         "truncate the segments")
     p.add_argument("--no-verify", action="store_true",
-                   help="skip the structural/semantic verification pass")
+                   help="skip compiling Poptrie18 and checking it "
+                        "against the recovered RIB")
     p.add_argument("--samples", type=int, default=500,
                    help="verification sample addresses (default 500)")
     p.set_defaults(func=cmd_recover)

@@ -3,7 +3,8 @@
 One :class:`Replica` is a full lookup node.  It
 
 1. **recovers** its local journal directory (checkpoint + tail replay,
-   exactly like a restarted primary),
+   exactly like a restarted primary) and compiles the RIB with
+   :data:`REPLICA_ALGORITHM`,
 2. **serves** lookups through its own :class:`~repro.server.service.
    LookupServer` behind an RCU :class:`~repro.server.handle.TableHandle`
    — readers never notice replication happening,
@@ -47,18 +48,23 @@ from repro.cluster import replication
 from repro.data import tableio
 from repro.data.updates import Update
 from repro.errors import ClusterError, ReproError
+from repro.lookup import registry
 from repro.parallel.image import TableImage
 from repro.robust.journal import (
     Journal,
+    compile_recovered,
     decode_update,
     newest_checkpoint,
     recover,
 )
-from repro.robust.txn import TransactionalPoptrie
 from repro.server import protocol
 from repro.server.handle import TableHandle
 from repro.server.pipeline import UpdatePipeline
 from repro.server.service import LookupServer, ServerConfig
+
+#: The registry entry every node compiles its RIB with; ``serve --journal
+#: --repl-port`` refuses an engine with a wider ``fib_limit``.
+REPLICA_ALGORITHM = "Poptrie18"
 
 
 class Replica:
@@ -101,7 +107,8 @@ class Replica:
         self.quorum = quorum
 
         self.role = "primary" if primary is None else "replica"
-        self.txn: Optional[TransactionalPoptrie] = None
+        #: The node's engine: a registry :data:`REPLICA_ALGORITHM` structure.
+        self.txn = None
         self.journal: Optional[Journal] = None
         self.handle: Optional[TableHandle] = None
         self.server: Optional[LookupServer] = None
@@ -141,12 +148,12 @@ class Replica:
     async def start(self) -> Tuple[Tuple[str, int], Tuple[str, int]]:
         """Recover, bind, follow.  Returns ``(serve, repl)`` endpoints."""
         os.makedirs(self.directory, exist_ok=True)
-        result = await asyncio.to_thread(
-            recover, self.directory, verify=False
+        rib = (await asyncio.to_thread(recover, self.directory)).rib
+        self.txn = await asyncio.to_thread(
+            compile_recovered, rib, REPLICA_ALGORITHM
         )
-        self.txn = result.trie
         self.journal = Journal(self.directory)
-        self.handle = TableHandle(self.txn.trie, name=self.name)
+        self.handle = TableHandle(self.txn, name=self.name)
         self.pipeline = UpdatePipeline(
             self.txn, self.journal, self.handle,
             checkpoint_every=self.checkpoint_every,
@@ -328,10 +335,10 @@ class Replica:
             with self._mutate:
                 rib = tableio.rib_from_image(TableImage.open(image))
                 self.journal.install_checkpoint(rib, seqno)
-                return TransactionalPoptrie(width=rib.width, rib=rib)
+                return registry.get(REPLICA_ALGORITHM).from_rib(rib)
         self._held = []
         self.txn = self.pipeline.engine = await asyncio.to_thread(rebuild)
-        self.handle.swap(self.txn.trie, wait=False)
+        self.handle.swap(self.txn, wait=False)
         self.handle.set_seqno(seqno)
         self._chain = zlib.crc32(image)
         self._force_snapshot = False
@@ -423,7 +430,7 @@ class Replica:
             "resyncs": self.resyncs,
             "connects": self.connects,
             "acks_sent": self.acks_sent,
-            "routes": len(self.txn.rib) if self.txn is not None else 0,
+            "routes": 0 if self.txn is None else len(self.txn.rib),
         }
 
     def promote(self, min_seqno: int) -> dict:
@@ -484,4 +491,4 @@ class Replica:
         ).inc()
 
 
-__all__ = ["Replica"]
+__all__ = ["REPLICA_ALGORITHM", "Replica"]

@@ -166,14 +166,6 @@ class Serializer:
         self.target.write_node(root_index, *fields)
         return root_index
 
-    def serialize_into(self, tmp: TmpNode, index: int) -> None:
-        """Place ``tmp``'s subtree with the root at a pre-existing index
-        (in-place root replacement used by the incremental updater).  The
-        root write is last, so readers of the old subtree at ``index``
-        switch to the fully built replacement in one step."""
-        fields = self.serialize_fields(tmp)
-        self.target.write_node(index, *fields)
-
     def serialize_fields(self, tmp: TmpNode) -> Tuple[int, int, int, int]:
         """Emit ``tmp``'s descendants and leaves; return the root's
         ``(vector, leafvec, base0, base1)`` *without writing the root*.

@@ -28,7 +28,9 @@ import numpy as np
 
 from repro.core import builder
 from repro.errors import SnapshotFormatError, StructuralLimitError
-from repro.lookup.base import LookupStructure, StructureConfig, check_fib_capacity
+from repro.lookup.base import (
+    LookupStructure, Staged, StructureConfig, check_fib_capacity,
+)
 from repro.lookup.registry import register
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.layout import AccessTrace, MemoryMap
@@ -450,31 +452,30 @@ class Poptrie(LookupStructure):
 
     # -- incremental updates -------------------------------------------------
 
-    def _apply_updates(self, updates: list, positions: list, report) -> None:
-        """Incremental engine hook: apply the checked batch one update
-        at a time through the transactional subtree surgery (§3.5).
-
-        A :class:`~repro.robust.txn.TransactionalPoptrie` adopts *this*
-        trie (``trie=``, no recompilation) and is cached on it; a failed
-        update rolls back alone and is refused at its position.  If the
-        engine degrades to a rebuild, the fresh trie's state is adopted
-        back into ``self``, so holders of this reference see it.
-        """
+    def _stage(self, updates: list, positions: list, report) -> Staged:
+        """Nothing is staged ahead: publish runs §3.5's per-update
+        transactions (undo log, rebuild fallback adopted back into
+        ``self``) through a cached
+        :class:`~repro.robust.txn.TransactionalPoptrie` over this trie."""
         from repro.robust.txn import TransactionalPoptrie
 
         engine = self.__dict__.get("_txn_engine")
-        if engine is None or engine.rib is not self.update_rib:
+        if engine is None or engine.rib is not self.rib:
             engine = TransactionalPoptrie(
-                self.config, width=self.width, rib=self.update_rib,
-                trie=self,
+                self.config, width=self.width, rib=self.rib, trie=self,
             )
             self.__dict__["_txn_engine"] = engine
-        engine._apply_checked(updates, positions, report)
-        if engine.trie is not self:
-            # The engine degraded to a rebuild and published a new trie.
-            self._adopt_state(engine.trie)
-            self.__dict__["_txn_engine"] = engine
-            engine.trie = self
+
+        def publish() -> None:
+            applied = report.applied
+            engine._apply_checked(updates, positions, report)
+            if engine.trie is not self:
+                self._adopt_state(engine.trie)
+                self.__dict__["_txn_engine"] = engine
+                engine.trie = self
+            self._updates_applied += report.applied - applied
+
+        return Staged(publish)
 
     # -- self-verification -------------------------------------------------
 

@@ -200,6 +200,25 @@ def check_message(
     return accepted, positions
 
 
+def fold_updates(rib: Rib, updates: Iterable[Update]) -> List[Tuple[Prefix, int]]:
+    """Apply checked updates to ``rib`` in order; returns the undo log
+    (each prefix and the FIB index it had) for :func:`unfold_updates`."""
+    return [
+        (u.prefix, rib.insert(u.prefix, u.nexthop) if u.kind == "A"
+         else rib.delete(u.prefix))
+        for u in updates
+    ]
+
+
+def unfold_updates(rib: Rib, undo: List[Tuple[Prefix, int]]) -> None:
+    """Undo a :func:`fold_updates`, newest change first."""
+    for prefix, previous in reversed(undo):
+        if previous == NO_ROUTE:
+            rib.delete(prefix)
+        else:
+            rib.insert(prefix, previous)
+
+
 def generate_stream(
     rib: Rib, config: Optional[UpdateStream] = None, **options
 ) -> List[Update]:

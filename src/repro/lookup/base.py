@@ -5,7 +5,7 @@ resolve integer addresses to FIB indices.  The benchmark harness, the
 cross-algorithm equivalence tests and the cycle simulator all program
 against this interface only.
 
-Four contracts live here:
+Five contracts live here:
 
 - **Uniform constructors.**  Every ``from_rib(rib, config=None,
   **options)`` accepts the structure's typed config dataclass (a
@@ -26,6 +26,9 @@ Four contracts live here:
   lookup instrumentation (counts, depth histograms) against the active
   :mod:`repro.obs` registry.  While disabled, the scalar lookup path is
   byte-for-byte the uninstrumented method — zero overhead.
+- **Route updates.**  :meth:`LookupStructure.apply_updates` takes §3.5's
+  order: check, stage off to the side, publish with one write; the
+  update pipeline journals between stage and publish.
 - **Registration.**  Structures self-register with
   :mod:`repro.lookup.registry` so the benchmark harness, the CLI and the
   tests share one roster.
@@ -36,14 +39,13 @@ from __future__ import annotations
 import abc
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.errors import ReproError, StructuralLimitError, UpdateRejectedError
 from repro.mem.layout import AccessTrace
 from repro.net.rib import Rib
-from repro.net.values import NO_ROUTE
 
 
 def normalize_batch_keys(keys, width: int = 32) -> np.ndarray:
@@ -144,6 +146,15 @@ class StructureConfig:
 @dataclass(frozen=True)
 class NoOptions(StructureConfig):
     """The empty config of structures without build options."""
+
+
+class Staged(NamedTuple):
+    """A message :meth:`LookupStructure._stage` ran every fallible step
+    of, unseen by readers.  ``publish()`` cannot fail; ``abandon()``
+    undoes the stage and its RIB changes."""
+
+    publish: Callable[[], None]
+    abandon: Callable[[], None] = lambda: None
 
 
 class LookupStructure(abc.ABC):
@@ -302,43 +313,45 @@ class LookupStructure(abc.ABC):
 
     #: The RIB :meth:`apply_updates` keeps in sync (None = not updatable;
     #: :meth:`bind_rib` or the registry's ``from_rib`` set it).
-    update_rib = None
+    rib = None
 
     #: Rebuild closure installed by :meth:`bind_rib` — recompiles this
     #: structure from the (mutated) RIB with its original build options.
     #: None falls back to ``type(self).from_rib`` with default options.
     _update_rebuild = None
 
-    #: Update accounting for :meth:`stats` (class attrs double as zeros
-    #: for never-updated instances).
-    _update_batches = 0
+    #: Updates published, for :meth:`stats` (class attr: the zero).
     _updates_applied = 0
+
+    #: True when lookups walk :attr:`rib` itself (Radix), so the rebuild
+    #: engine's stage must leave the RIB alone and publish folds it.
+    walks_rib = False
 
     def bind_rib(self, rib: Rib, rebuild=None) -> "LookupStructure":
         """Bind the RIB that :meth:`apply_updates` mutates.
 
         ``rebuild``, when given, is a callable ``rib -> structure``
         recompiling this structure class with the same build options —
-        the rebuild-fallback engine uses it to stay faithful to how the
+        the rebuild engine uses it to stay faithful to how the
         instance was originally built.  The registry's
         ``AlgorithmEntry.from_rib`` binds both automatically, so
         registry-built structures are updatable out of the box.
         Returns ``self`` for chaining.
         """
-        self.update_rib = rib
+        self.rib = rib
         self._update_rebuild = rebuild
         return self
 
     @classmethod
     def supports_incremental(cls) -> bool:
         """True when this structure has a real incremental update engine
-        (it overrides the :meth:`_apply_updates` hook, like Poptrie's
+        (it overrides the :meth:`_stage` hook, like Poptrie's
         transactional subtree surgery).  Structures without one still
         accept :meth:`apply_updates` — through the correct, measured
-        rebuild fallback — so the flag distinguishes *cost*, not
+        rebuild engine — so the flag distinguishes *cost*, not
         *capability*.  The registry mirrors this as
         ``AlgorithmEntry.supports_incremental``."""
-        return cls._apply_updates is not LookupStructure._apply_updates
+        return cls._stage is not LookupStructure._stage
 
     def update_engine(self) -> str:
         """Which engine an :meth:`apply_updates` call would use:
@@ -353,15 +366,14 @@ class LookupStructure(abc.ABC):
         ``updates`` is an iterable of :class:`repro.data.updates.Update`
         messages; requires a bound RIB (:meth:`bind_rib`).  The batch is
         checked in order (:func:`repro.data.updates.check_message`, up
-        to :attr:`fib_limit`), then the :meth:`_apply_updates` engine
-        hook applies what passed.  Returns a report dict with
-        ``applied``, ``degraded``, ``rejected``, ``errors`` (1-based
-        ``(position, reason)`` pairs) and ``engine``; refused updates
-        are counted, never raised.
+        to :attr:`fib_limit`), staged (:meth:`_stage`) and published.
+        Returns a report dict with ``applied``, ``degraded``,
+        ``rejected``, ``errors`` (1-based ``(position, reason)`` pairs)
+        and ``engine``; refused updates are counted, never raised.
         """
         from repro.data.updates import StreamReport, check_message
 
-        if self.update_rib is None:
+        if self.rib is None:
             raise UpdateRejectedError(
                 f"{type(self).__name__} has no RIB bound; call "
                 "bind_rib(rib) (the registry's from_rib does this "
@@ -369,55 +381,48 @@ class LookupStructure(abc.ABC):
             )
         report = StreamReport()
         accepted, positions = check_message(
-            updates, self.update_rib, self.fib_limit, report
+            updates, self.rib, self.fib_limit, report
         )
-        if accepted:
-            self._apply_updates(accepted, positions, report)
+        staged = self._stage(accepted, positions, report) if accepted else None
+        if staged is not None:
+            staged.publish()
         report.errors.sort()
-        self._update_batches += 1
-        self._updates_applied += report.applied
         return {**vars(report), "engine": self.update_engine()}
 
-    def _apply_updates(self, updates: list, positions: list, report) -> None:
-        """Engine hook: apply checked updates to the bound RIB, counting
-        them into ``report`` (refusals at their ``positions``).
+    def _stage(self, updates: list, positions: list, report) -> Optional[Staged]:
+        """Stage checked updates and return them :class:`Staged`, or
+        refuse each at its position in ``report`` and return ``None``;
+        publishing counts them into ``report``.
 
-        The default is the rebuild fallback: fold the batch into
-        :attr:`update_rib`, recompile once and adopt the result in
-        place.  A failed rebuild (a structural limit) undoes the batch's
-        RIB mutations, keeps the old structure and refuses the batch.
-        Subclasses with a cheaper engine override this (and thereby flip
-        :meth:`supports_incremental`).
+        The default is the rebuild engine: fold the message into
+        :attr:`rib` and compile the new table, undoing the fold if the
+        compile fails (a structural limit); publish adopts the table
+        with one ``__dict__`` rebind.  A structure that :attr:`walks_rib`
+        compiles first and folds at publish, so its readers never see a
+        staged route.  Subclasses with a cheaper engine override this
+        (and thereby flip :meth:`supports_incremental`).
         """
-        rib = self.update_rib
-        undo = []
-        for update in updates:
-            if update.kind == "A":
-                previous = rib.insert(update.prefix, update.nexthop)
-            else:
-                previous = rib.delete(update.prefix)
-            undo.append((update.prefix, previous))
+        from repro.data.updates import fold_updates, unfold_updates
+
+        rib = self.rib
+        undo = [] if self.walks_rib else fold_updates(rib, updates)
+        rebuild = self._update_rebuild or type(self).from_rib
         try:
-            self._rebuild_from_rib()
+            rebuilt = rebuild(rib)
         except ReproError as error:
-            for prefix, previous in reversed(undo):
-                if previous == NO_ROUTE:
-                    rib.delete(prefix)
-                else:
-                    rib.insert(prefix, previous)
+            unfold_updates(rib, undo)
             for position in positions:
                 report.refuse(position, error)
-        else:
+            return None
+
+        def publish() -> None:
+            if self.walks_rib:
+                fold_updates(rib, updates)
+            self._adopt_state(rebuilt)
+            self._updates_applied += len(updates)
             report.applied += len(updates)
 
-    def _rebuild_from_rib(self) -> None:
-        """Recompile from the bound RIB and adopt the result in place."""
-        rebuild = self._update_rebuild
-        if rebuild is not None:
-            rebuilt = rebuild(self.update_rib)
-        else:
-            rebuilt = type(self).from_rib(self.update_rib)
-        self._adopt_state(rebuilt)
+        return Staged(publish, lambda: unfold_updates(rib, undo))
 
     def _adopt_state(self, rebuilt: "LookupStructure") -> None:
         """Take over ``rebuilt``'s state while keeping ``self``'s identity.
@@ -446,9 +451,8 @@ class LookupStructure(abc.ABC):
         # The donor's own wrappers/bindings must not leak through.
         for key in ("lookup", "lookup_batch", "_obs_registry"):
             new.pop(key, None)
-        new["update_rib"] = self.update_rib
+        new["rib"] = self.rib
         new["_update_rebuild"] = self._update_rebuild
-        new["_update_batches"] = self._update_batches
         new["_updates_applied"] = self._updates_applied
         if new.get("values") is None and values is not None:
             new["values"] = values

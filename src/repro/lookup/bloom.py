@@ -158,10 +158,6 @@ class BloomLpm(LookupStructure):
                     return entry
         return self.default
 
-    def false_positive_rate(self) -> float:
-        """Observed share of off-chip probes wasted on false positives."""
-        return self.false_positive_probes / self.probes if self.probes else 0.0
-
     def false_positives_per_lookup(self) -> float:
         """Expected wasted off-chip probes per lookup — the quantity the
         filter sizing controls (≈ #filters × per-filter FP probability)."""

@@ -28,6 +28,7 @@ class RadixLookup(LookupStructure):
     """Longest-prefix match by walking the binary radix tree."""
 
     name = "Radix"
+    walks_rib = True
 
     def __init__(self, rib: Rib) -> None:
         self.rib = rib

@@ -115,6 +115,15 @@ class AlgorithmEntry:
         return structure
 
     @property
+    def fib_limit(self) -> int:
+        """The largest next hop this entry's structures encode (built
+        empty when the build options set it, as Poptrie's do)."""
+        from repro.net.rib import Rib
+
+        limit = self.cls.fib_limit
+        return limit if isinstance(limit, int) else self.from_rib(Rib()).fib_limit
+
+    @property
     def supports_image(self) -> bool:
         """True when instances round-trip through the zero-copy
         :class:`~repro.parallel.image.TableImage` API (``to_image()`` /

@@ -9,7 +9,7 @@ Four pieces, documented in ``docs/ROBUSTNESS.md``:
   graceful degradation to a full rebuild;
 - :mod:`repro.robust.journal` — :class:`Journal`, the CRC-framed
   write-ahead log of route updates with checkpoint/truncate, and
-  :func:`recover`, which rebuilds the durable state after a crash
+  :func:`recover`, which rebuilds the durable RIB after a crash
   (``python -m repro recover``);
 - :mod:`repro.robust.verify` — the invariant verifier behind
   ``Poptrie.verify(rib)`` and ``python -m repro verify``;

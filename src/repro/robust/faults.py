@@ -13,7 +13,7 @@ threaded through the library:
     is being constructed on the side.
 ``update``
     exactly two sites, each reached once per update:
-    ``UpdatePipeline._validate`` (before the update check and the
+    ``UpdatePipeline.apply`` (before the update check and the
     journal) and ``TransactionalPoptrie.apply_stream`` — the Nth update
     is *corrupted* (bad kind, negative or overflowing next hop, chosen
     by the plan's seeded RNG) instead of raising, modelling a malformed

@@ -12,8 +12,9 @@ journal-then-publish discipline:
 2. a **checkpoint** periodically freezes the full RIB to disk and
    truncates the journal segments it covers;
 3. **recovery** loads the newest checkpoint and replays the journal tail
-   through the update engine, yielding exactly the state the crashed
-   process had durably committed.
+   into its RIB, yielding exactly the routes the crashed process had
+   durably committed; the caller compiles that RIB once, with the engine
+   it serves (:func:`compile_recovered`).
 
 On-disk layout (all integers little-endian)::
 
@@ -69,7 +70,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.data import tableio
-from repro.data.updates import Update
+from repro.data.updates import StreamReport, Update, check_message, fold_updates
 from repro.errors import InjectedFault, JournalCorrupt, JournalGap
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
@@ -89,6 +90,9 @@ _RECORD_BYTES = _RECORD.size + _PAYLOAD_BYTES
 #: Sanity bound on one record's payload; a length field outside this range
 #: is corruption, not an allocation request.
 MAX_PAYLOAD_BYTES = 1 << 10
+
+#: The widest next hop a record encodes; recovery checks replays to it.
+MAX_NEXTHOP = (1 << 32) - 1
 
 _SEGMENT_PREFIX = "wal-"
 _SEGMENT_SUFFIX = ".log"
@@ -114,7 +118,7 @@ def encode_update(update: Update) -> bytes:
     if kind is None:
         raise ValueError(f"cannot journal update kind {update.kind!r}")
     nexthop = update.nexthop if update.kind == "A" else 0
-    if not 0 <= nexthop < (1 << 32):
+    if not 0 <= nexthop <= MAX_NEXTHOP:
         raise ValueError(f"cannot journal next hop {nexthop}")
     return _PAYLOAD.pack(
         kind, prefix.width, prefix.length, 0, nexthop
@@ -586,31 +590,25 @@ class Journal:
 class RecoveryResult:
     """Everything :func:`recover` reconstructed, plus how it went."""
 
-    #: The recovered control plane (RIB + compiled trie), ready to serve
-    #: behind an :class:`~repro.server.pipeline.UpdatePipeline` that
-    #: journals further updates.
-    trie: "object"
+    #: The checkpoint plus every replayed record, to compile with
+    #: :func:`compile_recovered`.
+    rib: Rib
     checkpoint_seqno: int = 0
     checkpoint_path: Optional[str] = None
     #: Checkpoints that existed but could not be read (fell back past them).
     checkpoints_skipped: int = 0
     #: Highest durable sequence number (checkpoint + replayed tail).
     last_seqno: int = 0
-    #: Tail records replayed through the update engine.
+    #: Tail records folded into :attr:`rib`.
     replayed: int = 0
-    #: Replayed records the update engine rejected (identical to how the
-    #: original process rejected them — state-level failures replay
-    #: deterministically).
+    #: Tail records the update check refused (a withdraw of an unrouted
+    #: prefix, say), each named in :attr:`errors` by its sequence number.
     skipped: int = 0
     #: Bytes of a torn final record discarded from the newest segment.
     torn_bytes: int = 0
     segments: int = 0
     duration_s: float = 0.0
     errors: List[str] = field(default_factory=list)
-
-    @property
-    def rib(self) -> Rib:
-        return self.trie.rib
 
     @property
     def applied_seqno(self) -> int:
@@ -634,29 +632,20 @@ class RecoveryResult:
         }
 
 
-def recover(
-    directory: str,
-    *,
-    config=None,
-    width: int = 32,
-    verify: bool = True,
-    samples: int = 500,
-) -> RecoveryResult:
-    """Rebuild the durable state from a journal directory.
+def recover(directory: str, *, width: int = 32) -> RecoveryResult:
+    """Rebuild the durable RIB from a journal directory.
 
     Loads the newest readable checkpoint (falling back to older ones if
-    the newest is damaged), replays the journal tail through the
-    transactional update engine, and — with ``verify=True`` — proves the
-    result with :meth:`Poptrie.verify` against the recovered RIB.
+    the newest is damaged) and replays the journal tail into its RIB,
+    checked in order against :data:`MAX_NEXTHOP`, whatever engine wrote
+    it.  The caller compiles the RIB (:func:`compile_recovered`).
 
     An empty directory recovers to an empty width-``width`` table at
     sequence number 0; real corruption raises
     :class:`~repro.errors.JournalCorrupt`.  Recovery is idempotent:
     replaying the same journal twice yields the same state.
     """
-    from repro.core.poptrie import PoptrieConfig
     from repro.errors import TableFormatError
-    from repro.robust.txn import TransactionalPoptrie
 
     started = time.perf_counter()
     if not os.path.isdir(directory):
@@ -664,7 +653,7 @@ def recover(
     checkpoints, segments = _scan(directory)
 
     rib: Optional[Rib] = None
-    result = RecoveryResult(trie=None)
+    result = RecoveryResult(rib=None)
     for seqno, path in reversed(checkpoints):
         try:
             rib = tableio.load_table(path)
@@ -718,19 +707,32 @@ def recover(
         next_expected - 1 if next_expected is not None else 0,
     )
 
-    trie = TransactionalPoptrie(
-        config=config or PoptrieConfig(), width=rib.width, rib=rib
-    )
-    report = trie.apply_stream(tail, on_error="skip")
-    result.trie = trie
-    result.replayed = report.applied
+    report = StreamReport()
+    accepted, _ = check_message(tail, rib, MAX_NEXTHOP, report)
+    fold_updates(rib, accepted)
+    result.rib = rib
+    result.replayed = len(accepted)
     result.skipped = report.rejected
-    result.errors.extend(message for _, message in report.errors)
-    if verify:
-        trie.trie.verify(trie.rib, samples=samples)
+    result.errors.extend(
+        f"seqno {result.last_seqno - len(tail) + position}: {text}"
+        for position, text in report.errors
+    )
     result.duration_s = time.perf_counter() - started
     _gauge_recovery(directory, result.duration_s)
     return result
+
+
+def compile_recovered(rib: Rib, algorithm: str = "Poptrie18", samples: int = 500):
+    """Compile a recovered RIB with the registry entry ``algorithm``,
+    checked against the RIB (:func:`~repro.robust.verify.check_lookups`,
+    ``samples=0`` skips it) before anything serves it."""
+    from repro.lookup import registry
+    from repro.robust.verify import check_lookups
+
+    structure = registry.get(algorithm).from_rib(rib)
+    if samples:
+        check_lookups(structure, rib, samples)
+    return structure
 
 
 # -- tail shipping -------------------------------------------------------------

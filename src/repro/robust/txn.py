@@ -35,7 +35,8 @@ fault-injection point so tests can corrupt messages on the wire.
 
 The engine does not journal.  Durability belongs to
 :class:`~repro.server.pipeline.UpdatePipeline`, the one write-ahead
-journal writer: it group-commits a message before the engine applies it.
+journal writer: it group-commits a message before a registry Poptrie
+publishes it through this engine (``Poptrie._stage``).
 """
 
 from __future__ import annotations
@@ -45,12 +46,13 @@ from typing import Iterable, List, Optional
 
 from repro.core.poptrie import Poptrie, PoptrieConfig
 from repro.core.update import UpdatablePoptrie
-from repro.data.updates import StreamReport, Update, check_update
+from repro.data.updates import (
+    StreamReport, Update, check_update, fold_updates, unfold_updates,
+)
 from repro.errors import ReplaceCostExceeded, ReproError, UpdateRejectedError
 from repro.mem.buddy import OutOfMemory
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
-from repro.net.values import NO_ROUTE
 from repro.obs import tracing
 from repro.robust import faults
 
@@ -64,10 +66,6 @@ class TxnStats:
     fallback_rebuilds: int = 0
     threshold_rebuilds: int = 0
     rejected: int = 0
-    #: Updates :class:`~repro.server.pipeline.UpdatePipeline` refused
-    #: because their group commit failed (journal-then-publish: no
-    #: durable record, no mutation).
-    journal_failures: int = 0
 
 
 def _count_txn(outcome: str) -> None:
@@ -174,27 +172,23 @@ class TransactionalPoptrie(UpdatablePoptrie):
         try:
             check_update(update, self.rib, self.fib_limit)
         except UpdateRejectedError:
-            self.count_rejected()
+            self.txn_stats.rejected += 1
+            _count_txn("rejected")
             raise
-        kind, prefix, fib_index = update.kind, update.prefix, update.nexthop
         txn = Transaction(self)
         try:
-            if kind == "A":
-                previous = self.rib.insert(prefix, fib_index)
-                txn.rib_undo.append(self._rib_inverse("A", prefix, previous))
-                if previous == fib_index:
-                    self.txn_stats.commits += 1  # no structural work needed
-                    _count_txn("commit")
-                    return
-            else:
-                previous = self.rib.delete(prefix)
-                txn.rib_undo.append(self._rib_inverse("W", prefix, previous))
-            self._apply(prefix)
+            undo = fold_updates(self.rib, [update])
+            txn.rib_undo.append(lambda: unfold_updates(self.rib, undo))
+            if update.kind == "A" and undo[0][1] == update.nexthop:
+                self.txn_stats.commits += 1  # no structural work needed
+                _count_txn("commit")
+                return
+            self._apply(update.prefix)
         except ReplaceCostExceeded:
             txn.rollback()
             self.txn_stats.threshold_rebuilds += 1
             _count_txn("threshold_rebuild")
-            self._rebuild(kind, prefix, fib_index)
+            self._rebuild(update)
         except Exception:
             txn.rollback()
             self.txn_stats.rollbacks += 1
@@ -203,20 +197,14 @@ class TransactionalPoptrie(UpdatablePoptrie):
                 raise
             self.txn_stats.fallback_rebuilds += 1
             _count_txn("fallback_rebuild")
-            self._rebuild(kind, prefix, fib_index)
+            self._rebuild(update)
         else:
             self.txn_stats.commits += 1
             _count_txn("commit")
         finally:
             txn.close()
 
-    def _rib_inverse(self, kind: str, prefix: Prefix, previous: int):
-        """The inverse RIB operation for an applied announce/withdraw."""
-        if kind == "A" and previous == NO_ROUTE:
-            return lambda: self.rib.delete(prefix)
-        return lambda: self.rib.insert(prefix, previous)
-
-    def _rebuild(self, kind: str, prefix: Prefix, fib_index: Optional[int]) -> None:
+    def _rebuild(self, update: Update) -> None:
         """Degraded path: service the update with a full compile.
 
         Re-applies the RIB mutation, compiles a fresh Poptrie from the RIB
@@ -224,16 +212,12 @@ class TransactionalPoptrie(UpdatablePoptrie):
         restored and the error propagates — the old trie was never touched,
         so the structure stays consistent at the pre-update state.
         """
-        if kind == "A":
-            previous = self.rib.insert(prefix, fib_index)
-        else:
-            previous = self.rib.delete(prefix)
-        undo = self._rib_inverse(kind, prefix, previous)
+        undo = fold_updates(self.rib, [update])
         try:
             with tracing.span("txn.rebuild"):
                 rebuilt = Poptrie.from_rib(self.rib, self.trie.config)
         except Exception:
-            undo()
+            unfold_updates(self.rib, undo)
             raise
         # Carry per-instance lookup instrumentation over to the new trie so
         # an observed structure stays observed across degradation.
@@ -245,11 +229,6 @@ class TransactionalPoptrie(UpdatablePoptrie):
         self._publish_update_obs(0, 0, 0, engine="rebuild")
 
     # -- stream replay --------------------------------------------------------
-
-    def count_rejected(self) -> None:
-        """Account one update refused before it touched any state."""
-        self.txn_stats.rejected += 1
-        _count_txn("rejected")
 
     def apply_stream(self, updates: Iterable, on_error: str = "raise") -> StreamReport:
         """Apply a BGP-style update stream transactionally.
@@ -277,9 +256,8 @@ class TransactionalPoptrie(UpdatablePoptrie):
 
     def _apply_checked(self, updates, positions, report: StreamReport) -> None:
         """Apply updates that passed :func:`check_message`, one
-        transaction each, refusing a failed one at its position — the
-        per-update path of :class:`~repro.server.pipeline.UpdatePipeline`
-        and of the registry's ``Poptrie.apply_updates``."""
+        transaction each, refusing a failed one at its position — how a
+        registry Poptrie publishes a message."""
         for position, update in zip(positions, updates):
             try:
                 self._apply_one(update, report)

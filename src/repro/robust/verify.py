@@ -92,6 +92,29 @@ def _block_cover(live: Dict[int, int], label: str) -> Dict[int, int]:
     return cover
 
 
+def check_lookups(structure, rib: Rib, samples: int, seed: int = 20150817) -> int:
+    """Check ``structure`` against ``rib`` on the first and last address
+    of each route (up to :data:`MAX_BOUNDARY_ROUTES` routes) plus
+    ``samples`` seeded uniform addresses: :class:`VerificationError` on
+    the first disagreement, else how many addresses it checked."""
+    addresses: List[int] = []
+    for position, (prefix, _) in enumerate(rib.routes()):
+        if position >= MAX_BOUNDARY_ROUTES:
+            break
+        addresses += (prefix.first_address(), prefix.last_address())
+    rng = random.Random(seed)
+    limit = (1 << rib.width) - 1
+    addresses.extend(rng.randint(0, limit) for _ in range(samples))
+    wrong = structure.verify_against(rib, addresses)
+    if wrong:
+        raise VerificationError(
+            f"{structure.name}: lookup({wrong[0]:#x}) = "
+            f"{structure.lookup(wrong[0])}, but the RIB says "
+            f"{rib.lookup(wrong[0])}"
+        )
+    return len(addresses)
+
+
 def verify_poptrie(
     trie: Poptrie,
     rib: Optional[Rib] = None,
@@ -216,24 +239,7 @@ def verify_poptrie(
             raise VerificationError(
                 f"RIB width {rib.width} does not match trie width {trie.width}"
             )
-        addresses: List[int] = []
-        for position, (prefix, _) in enumerate(rib.routes()):
-            if position >= MAX_BOUNDARY_ROUTES:
-                break
-            addresses.append(prefix.first_address())
-            addresses.append(prefix.last_address())
-        rng = random.Random(seed)
-        limit = (1 << trie.width) - 1
-        addresses.extend(rng.randint(0, limit) for _ in range(samples))
-        for address in addresses:
-            expected = rib.lookup(address)
-            got = trie.lookup(address)
-            if got != expected:
-                raise VerificationError(
-                    f"lookup({address:#x}) = {got}, but the RIB says "
-                    f"{expected} (trie diverged from its shadow table)"
-                )
-        samples_checked = len(addresses)
+        samples_checked = check_lookups(trie, rib, samples, seed)
 
     return VerificationReport(
         nodes_checked=len(reachable_nodes),

@@ -13,7 +13,7 @@ engines, publication-safe updates, metrics — into a running service:
   ``lookup_batch`` call per event-loop tick (the paper's Section 2
   batching/latency trade-off as a knob: ``max_batch``/``max_wait_us``).
 - :mod:`repro.server.pipeline` — :class:`UpdatePipeline`, the one
-  OP_UPDATE write path (validate, journal + one fsync, apply, publish).
+  OP_UPDATE write path (check, stage, journal + one fsync, publish).
 - :mod:`repro.server.loadgen` — :class:`LoadGenerator`, an open-loop
   async client with Poisson/uniform arrival schedules and latency
   percentiles.

@@ -183,6 +183,7 @@ class LookupServer:
             raise RuntimeError("server already started")
         self._stopping = False
         self._wakeup = asyncio.Event()
+        self._update_lock = asyncio.Lock()
         self._server = await asyncio.start_server(
             self._serve_connection, self.config.host, self.config.port
         )
@@ -414,8 +415,12 @@ class LookupServer:
                 version=request.version,
             )
         try:
-            structure = await asyncio.to_thread(self.rebuild)
-            generation = await self.handle.swap_async(structure)
+            # Under the update lock: the rebuild compiles the RIB the
+            # update engine writes, so it must not see a message that is
+            # staged but not yet journaled, or half published.
+            async with self._update_lock:
+                structure = await asyncio.to_thread(self.rebuild)
+                generation = await self.handle.swap_async(structure)
         except Exception as error:
             # Failed rebuild must not disturb service: the previous
             # generation keeps serving, the client learns why.
@@ -451,8 +456,6 @@ class LookupServer:
                 text="server shutting down",
                 version=request.version,
             )
-        if self._update_lock is None:
-            self._update_lock = asyncio.Lock()
         started = time.perf_counter()
         # One update batch at a time: the journal and the update engine
         # are single-writer; lookups keep flowing concurrently because

@@ -3,8 +3,8 @@
 Run as ``python tests/_chaos_worker.py JOURNAL_DIR UPDATES_FILE [options]``
 with ``repro`` importable.  The worker
 
-1. recovers the durable state from ``JOURNAL_DIR`` (newest checkpoint +
-   replayed tail),
+1. recovers the durable RIB from ``JOURNAL_DIR`` (newest checkpoint +
+   replayed tail) and compiles it, checked, with Poptrie18,
 2. resumes the update stream *from that point* — every valid update is
    journaled exactly once in order, so the durable sequence number
    doubles as the stream position,
@@ -72,16 +72,16 @@ def main(argv=None):
 
     from repro.errors import InjectedFault
     from repro.robust.faults import FaultPlan
-    from repro.robust.journal import Journal, recover
+    from repro.robust.journal import Journal, compile_recovered, recover
     from repro.server import TableHandle, UpdatePipeline
 
     updates = load_updates(args.updates)
-    result = recover(args.journal, verify=False)
+    result = recover(args.journal)
     start = result.last_seqno  # stream position == durable seqno
-    txn = result.trie
+    engine = compile_recovered(result.rib)
     journal = Journal(args.journal)
     pipeline = UpdatePipeline(
-        txn, journal, TableHandle(txn.trie),
+        engine, journal, TableHandle(engine),
         checkpoint_every=args.checkpoint_every,
     )
 

@@ -55,7 +55,7 @@ def test_apply_updates_converges_to_rebuilt_table(name, probe_keys):
     assert structure.stats()["update_engine"] == expected_engine
     assert structure.stats()["updates_applied"] == report["applied"]
 
-    reference = entry.from_rib(structure.update_rib)
+    reference = entry.from_rib(structure.rib)
     got = structure.lookup_batch(probe_keys)
     want = reference.lookup_batch(probe_keys)
     mismatches = int((np.asarray(got) != np.asarray(want)).sum())
@@ -82,7 +82,7 @@ def test_apply_updates_counts_rejections(name):
     )
     assert report["rejected"] == 1
     assert report["applied"] == 1
-    assert structure.lookup(live.value) == structure.update_rib.lookup(
+    assert structure.lookup(live.value) == structure.rib.lookup(
         live.value
     )
 

@@ -275,6 +275,21 @@ class TestUnifiedTableSpelling:
 
 
 class TestServeLoadgen:
+    def test_replicated_journal_refuses_a_wider_engine(
+        self, table_path, tmp_path, capsys
+    ):
+        """Replicas run Poptrie18: a primary on an engine taking next hops
+        beyond its 16-bit leaves would acknowledge records its replicas
+        refuse, so ``serve`` stops with a usage error before it touches
+        the journal."""
+        journal = tmp_path / "wal"
+        assert main(["serve", "--table", table_path, "--journal",
+                     str(journal), "--algorithm", "Radix",
+                     "--repl-port", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "replicas run Poptrie18" in err and "Radix" in err
+        assert not journal.exists()
+
     def test_serve_then_loadgen_roundtrip(self, table_path, tmp_path, capsys):
         """Full cross-process style round trip, in one process: serve in a
         thread, drive it with the loadgen subcommand, assert clean exit."""
@@ -335,13 +350,16 @@ class TestJournalSeeding:
         import re
 
         from repro.cli import _recover_for_serve
+        from repro.lookup import registry
         from repro.robust.journal import newest_checkpoint
         from tests.conftest import make_random_rib
 
         table = str(tmp_path / "table.img")
         tableio.save_table_image(make_random_rib(300, seed=81), table)
         args = argparse.Namespace(journal=str(tmp_path / "wal"))
-        txn, journal, routes = _recover_for_serve(args, table)
+        _, journal, routes = _recover_for_serve(
+            args, table, registry.get("Poptrie18")
+        )
         journal.close()
         out = capsys.readouterr().out
         assert re.search(

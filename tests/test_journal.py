@@ -15,12 +15,15 @@ import struct
 
 import pytest
 
+from repro import obs
 from repro.core.poptrie import Poptrie
 from repro.data import tableio
 from repro.data.updates import Update, generate_update_stream
 from repro.errors import InjectedFault, JournalCorrupt, JournalGap
+from repro.lookup import registry
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
+from repro.obs import MetricsRegistry
 from repro.robust.faults import FaultPlan
 from repro.robust.journal import (
     Journal,
@@ -30,7 +33,6 @@ from repro.robust.journal import (
     read_segment,
     recover,
 )
-from repro.robust.txn import TransactionalPoptrie
 from repro.server import TableHandle, UpdatePipeline
 
 
@@ -60,8 +62,8 @@ def route_set(rib: Rib):
 
 def pipeline_for(journal: Journal, rib: Rib) -> UpdatePipeline:
     """The one journal writer, over a fresh engine on ``rib``."""
-    txn = TransactionalPoptrie(rib=rib)
-    return UpdatePipeline(txn, journal, TableHandle(txn.trie))
+    engine = registry.get("Poptrie18").from_rib(rib)
+    return UpdatePipeline(engine, journal, TableHandle(engine))
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +283,20 @@ class TestJournalFaults:
         pipeline = pipeline_for(journal, small_rib())
         txn = pipeline.engine
         before = route_set(txn.rib)
-        with FaultPlan(journal_fail_at=1):
-            report = pipeline.apply(
-                [Update("A", Prefix.parse("172.16.0.0/12"), 5)]
-            )
+        live = obs.enable(MetricsRegistry())
+        try:
+            with FaultPlan(journal_fail_at=1):
+                report = pipeline.apply(
+                    [Update("A", Prefix.parse("172.16.0.0/12"), 5)]
+                )
+        finally:
+            obs.disable()
         assert (report.applied, report.rejected) == (0, 1)
         assert "InjectedFault" in report.errors[0][1]
         assert route_set(txn.rib) == before
-        assert txn.txn_stats.journal_failures == 1
+        assert live.counter(
+            "repro_txn_outcomes_total", outcome="journal_error"
+        ).value == 1
         assert journal.last_seqno == 0
         journal.close()
         assert recover(d).last_seqno == 0
@@ -358,6 +366,27 @@ class TestRecoverCli:
         assert "replayed" in text and "verified" in text
         recovered = tableio.load_table(out)
         assert route_set(recovered) == route_set(recover(d).rib)
+
+    def test_recover_reads_a_wide_engine_journal(self, tmp_path, capsys):
+        """A journal written through a 32-bit-next-hop engine (Radix)
+        holds hops Poptrie18 cannot encode: recover still reports and
+        writes it, and says it skipped the Poptrie18 check."""
+        from repro.cli import main
+
+        d = str(tmp_path / "wal")
+        journal = Journal(d)
+        journal.checkpoint(small_rib())
+        engine = registry.get("Radix").from_rib(small_rib())
+        pipeline = UpdatePipeline(engine, journal, TableHandle(engine))
+        wide = Prefix.parse("203.0.113.0/24")
+        assert pipeline.apply([Update("A", wide, 1 << 16)]).applied == 1
+        journal.close()
+        out = str(tmp_path / "recovered.txt")
+        assert main(["recover", d, "-o", out]) == 0
+        assert "not verified (next hop 65536 > Poptrie18's 65535)" in (
+            capsys.readouterr().out
+        )
+        assert tableio.load_table(out).get(wide) == 1 << 16
 
     def test_recover_compact_truncates(self, tmp_path):
         from repro.cli import main
@@ -605,3 +634,20 @@ def test_recovered_table_compiles_identically(tmp_path):
     assert structure_to_bytes(Poptrie.from_rib(recovered.rib)) == structure_to_bytes(
         Poptrie.from_rib(oracle.rib)
     )
+
+
+def test_compile_recovered_refuses_a_table_that_disagrees(monkeypatch):
+    """The recovered RIB's compile is checked against the RIB before it
+    serves: a table that disagrees raises, naming the address."""
+    from repro.errors import VerificationError
+    from repro.robust.journal import compile_recovered
+
+    rib, other = small_rib(), small_rib()
+    other.insert(Prefix.parse("192.0.2.0/24"), 4)
+    entry = registry.get("Poptrie18")
+    monkeypatch.setattr(
+        type(entry), "from_rib", lambda self, r, **options: Poptrie.from_rib(other)
+    )
+    with pytest.raises(VerificationError, match="but the RIB says 3"):
+        compile_recovered(rib)
+    assert compile_recovered(rib, samples=0) is not None

@@ -740,6 +740,64 @@ class TestReloadFailure:
         assert server.stats.reloads == 1
 
 
+class TestReloadWaitsForUpdates:
+    def test_reload_does_not_compile_a_message_in_flight(self):
+        """OP_RELOAD compiles the RIB the update engine writes, so it
+        waits for an OP_UPDATE in flight (staged, journaling, publishing)
+        to finish before it reads the RIB."""
+        from repro.data.updates import Update
+
+        entered, release = threading.Event(), threading.Event()
+        events = []
+
+        def apply_updates(updates):
+            entered.set()
+            release.wait(10)
+            events.append("update done")
+            return {"applied": len(updates), "rejected": 0}
+
+        def rebuild():
+            events.append("reload compiled")
+            return Poptrie.from_rib(small_rib())
+
+        async def scenario():
+            server = LookupServer(
+                TableHandle(Poptrie.from_rib(small_rib())),
+                rebuild=rebuild, apply_updates=apply_updates,
+            )
+            host, port = await server.start()
+            try:
+                update_conn = await _client(host, port)
+                protocol.write_frame(update_conn[1], protocol.encode_request(
+                    protocol.OP_UPDATE, 1,
+                    updates=[Update("A", Prefix.parse("203.0.113.0/24"), 4)],
+                ))
+                await update_conn[1].drain()
+                await asyncio.to_thread(entered.wait, 10)
+                reload_conn = await _client(host, port)
+                reload = asyncio.ensure_future(
+                    _roundtrip(*reload_conn, protocol.OP_RELOAD, 2)
+                )
+                await asyncio.sleep(0.2)
+                compiled_early = list(events)
+                release.set()
+                updated = protocol.decode_response(
+                    await protocol.read_frame(update_conn[0])
+                )
+                reloaded = await reload
+                for _, writer in (update_conn, reload_conn):
+                    writer.close()
+            finally:
+                release.set()
+                await server.stop()
+            return compiled_early, updated, reloaded
+
+        compiled_early, updated, reloaded = asyncio.run(scenario())
+        assert compiled_early == []
+        assert updated.ok and reloaded.ok
+        assert events == ["update done", "reload compiled"]
+
+
 # ---------------------------------------------------------------------------
 # network-level response faults (chaos building blocks)
 # ---------------------------------------------------------------------------
