@@ -4,7 +4,8 @@ The build runs in two phases, mirroring what the paper's C implementation
 does in one pass but keeping the logic testable in isolation:
 
 1. **Expansion** (:func:`expand_node`): controlled prefix expansion of the
-   binary radix tree into temporary 2^k-ary nodes.  Each temporary node
+   binary radix tree (:func:`repro.net.rib.expand`, one k-bit chunk at a
+   time) into temporary 2^k-ary nodes.  Each temporary node
    records its ``vector`` (bit v set ⇔ slot v has a descendant internal
    node, Section 3.1), its ``leafvec`` and compressed leaf list
    (Section 3.3), and its child list.
@@ -20,8 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, Union
 
-from repro.net.rib import RibNode
-from repro.net.values import NO_ROUTE
+from repro.net.rib import RibNode, expand
 from repro.robust.faults import fault_point
 
 
@@ -57,40 +57,18 @@ class TmpNode:
 Slot = Union[int, tuple]
 
 
-def _fill_slots(
-    node: Optional[RibNode],
-    depth: int,
-    base: int,
-    inherited: int,
-    k: int,
-    slots: List[Slot],
-) -> None:
-    """Expand ``k - depth`` remaining chunk bits of the radix subtree rooted
-    at ``node`` into ``slots[base : base + 2^(k-depth)]``."""
-    if node is not None and node.route != NO_ROUTE:
-        inherited = node.route
-    if depth == k:
-        if node is not None and not node.is_leaf():
-            slots[base] = (node, inherited)
-        else:
-            slots[base] = inherited
-        return
-    if node is None:
-        # The whole value range under this point inherits one leaf.
-        for i in range(base, base + (1 << (k - depth))):
-            slots[i] = inherited
-        return
-    half = 1 << (k - depth - 1)
-    _fill_slots(node.left, depth + 1, base, inherited, k, slots)
-    _fill_slots(node.right, depth + 1, base + half, inherited, k, slots)
-
-
 def expand_chunk(
     node: Optional[RibNode], inherited: int, k: int
 ) -> List[Slot]:
     """Expand one k-bit chunk of the radix tree into 2^k slots."""
-    slots: List[Slot] = [NO_ROUTE] * (1 << k)
-    _fill_slots(node, 0, 0, inherited, k, slots)
+    slots: List[Slot] = []
+    for _, span, next_hop, subtree in expand(node, inherited, k):
+        if subtree is not None:
+            slots.append((subtree, next_hop))
+        elif span == 1:
+            slots.append(next_hop)
+        else:
+            slots += [next_hop] * span
     return slots
 
 

@@ -34,7 +34,7 @@ from repro.lookup.base import (
 from repro.lookup.registry import register
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.rib import Rib
+from repro.net.rib import Rib, expand
 from repro.net.values import NO_ROUTE
 from repro.obs.tracing import span
 
@@ -189,33 +189,22 @@ class Poptrie(LookupStructure):
         return (1 << self.config.leaf_bits) - 1
 
     def _build_direct(self, rib: Rib) -> None:
-        """Fill the 2^s top-level array (Section 3.4) by walking the radix
-        tree to depth ``s``, expanding a subtree where one exists and filling
+        """Fill the 2^s top-level array (Section 3.4) from the radix tree's
+        first ``s`` bits, expanding a subtree where one exists and filling
         address ranges with tagged FIB indices where it does not."""
         serializer = builder.Serializer(self)
-
-        def fill(node, depth: int, base: int, inherited: int) -> None:
-            if node is not None and node.route != NO_ROUTE:
-                inherited = node.route
-            if depth == self.s:
-                if node is not None and not node.is_leaf():
-                    tmp = builder.expand_node(
-                        node, inherited, self.k, self.config.use_leafvec
-                    )
-                    self.direct[base] = serializer.serialize(tmp)
-                else:
-                    self.direct[base] = DIRECT_LEAF | inherited
-                return
-            if node is None:
-                value = DIRECT_LEAF | inherited
-                span = 1 << (self.s - depth)
-                self.direct[base : base + span] = array("I", [value]) * span
-                return
-            half = 1 << (self.s - depth - 1)
-            fill(node.left, depth + 1, base, inherited)
-            fill(node.right, depth + 1, base + half, inherited)
-
-        fill(rib.root, 0, 0, NO_ROUTE)
+        direct = self.direct
+        for base, count, next_hop, subtree in expand(rib.root, NO_ROUTE, self.s):
+            if subtree is not None:
+                tmp = builder.expand_node(
+                    subtree, next_hop, self.k, self.config.use_leafvec
+                )
+                direct[base] = serializer.serialize(tmp)
+            elif count == 1:
+                direct[base] = DIRECT_LEAF | next_hop
+            else:
+                value = DIRECT_LEAF | next_hop
+                direct[base : base + count] = array("I", [value]) * count
 
     # -- serialization target interface (used by builder.Serializer) ----------
 

@@ -45,7 +45,7 @@ from repro.core.poptrie import DIRECT_LEAF, Poptrie, PoptrieConfig
 from repro.data.updates import Update, check_update
 from repro.errors import ReplaceCostExceeded
 from repro.net.prefix import Prefix
-from repro.net.rib import Rib, RibNode
+from repro.net.rib import Rib, descend, expand
 from repro.net.values import NO_ROUTE
 
 
@@ -211,8 +211,9 @@ class UpdatablePoptrie:
         elif trie.s:
             self._stage_direct_entry(prefix, patch)
         else:
-            rnode, inherited = self._radix_at(prefix, 0)
-            self._stage_refine(trie.root_index, rnode, inherited, 0, prefix, patch)
+            self._stage_refine(
+                trie.root_index, self.rib.root, NO_ROUTE, 0, prefix, patch
+            )
         return patch
 
     def _commit(self, patch: _Patch) -> None:
@@ -243,20 +244,7 @@ class UpdatablePoptrie:
             else:
                 trie.free_leaves(offset, count)
 
-    def _radix_at(self, prefix: Prefix, depth: int) -> Tuple[Optional[RibNode], int]:
-        """Radix node on ``prefix``'s path at ``depth`` bits, plus the best
-        route strictly above it (its inherited FIB index)."""
-        node: Optional[RibNode] = self.rib.root
-        inherited = NO_ROUTE
-        for i in range(depth):
-            if node is None:
-                break
-            if node.route != NO_ROUTE:
-                inherited = node.route
-            node = node.child(prefix.bit(i))
-        return node, inherited
-
-    def _stage_subtree(self, rnode: RibNode, inherited: int, patch: _Patch) -> int:
+    def _stage_subtree(self, rnode, inherited: int, patch: _Patch) -> int:
         """Serialize a fresh subtree for ``rnode``; returns its root index."""
         trie = self.trie
         tmp = builder.expand_node(rnode, inherited, trie.k, trie.config.use_leafvec)
@@ -277,44 +265,27 @@ class UpdatablePoptrie:
         (one top-level replacement event).
         """
         trie = self.trie
-        s, width = trie.s, trie.width
-        base = prefix.value >> (width - s)
-        span = 1 << (s - prefix.length)
-        for i in range(base, base + span):
+        stride = trie.s - prefix.length
+        base = prefix.value >> (trie.width - trie.s)
+        for i in range(base, base + (1 << stride)):
             entry = trie.direct[i]
             if not entry & DIRECT_LEAF:
                 patch.frees.extend(self._collect_blocks(entry))
                 patch.frees.append(("nodes", entry, 1))
-        rnode, inherited = self._radix_at(prefix, prefix.length)
-        self._stage_direct_range(rnode, prefix.length, base, inherited, patch)
-        patch.toplevel = 1
-
-    def _stage_direct_range(
-        self,
-        node: Optional[RibNode],
-        depth: int,
-        base: int,
-        inherited: int,
-        patch: _Patch,
-    ) -> None:
-        trie = self.trie
-        if node is not None and node.route != NO_ROUTE:
-            inherited = node.route
-        if depth == trie.s:
-            if node is not None and not node.is_leaf():
+        rnode, inherited = descend(
+            self.rib.root, NO_ROUTE, base >> stride, prefix.length
+        )
+        for offset, span, next_hop, subtree in expand(rnode, inherited, stride):
+            at = base + offset
+            if subtree is not None:
                 patch.direct_writes.append(
-                    (base, self._stage_subtree(node, inherited, patch))
+                    (at, self._stage_subtree(subtree, next_hop, patch))
                 )
+            elif span == 1:
+                patch.direct_writes.append((at, DIRECT_LEAF | next_hop))
             else:
-                patch.direct_writes.append((base, DIRECT_LEAF | inherited))
-            return
-        if node is None:
-            span = 1 << (trie.s - depth)
-            patch.direct_fills.append((base, span, DIRECT_LEAF | inherited))
-            return
-        half = 1 << (trie.s - depth - 1)
-        self._stage_direct_range(node.left, depth + 1, base, inherited, patch)
-        self._stage_direct_range(node.right, depth + 1, base + half, inherited, patch)
+                patch.direct_fills.append((at, span, DIRECT_LEAF | next_hop))
+        patch.toplevel = 1
 
     def _stage_direct_entry(self, prefix: Prefix, patch: _Patch) -> None:
         """Stage an update under exactly one direct entry (prefix longer
@@ -322,20 +293,17 @@ class UpdatablePoptrie:
         trie = self.trie
         index = prefix.value >> (trie.width - trie.s)
         entry = trie.direct[index]
-        rnode, inherited = self._radix_at(prefix, trie.s)
-        effective = inherited
-        if rnode is not None and rnode.route != NO_ROUTE:
-            effective = rnode.route
-        subtree_needed = rnode is not None and not rnode.is_leaf()
+        rnode, inherited = descend(self.rib.root, NO_ROUTE, index, trie.s)
+        ((_, _, effective, subtree),) = expand(rnode, inherited, 0)
         if entry & DIRECT_LEAF:
-            if subtree_needed:
+            if subtree is not None:
                 patch.direct_writes.append(
-                    (index, self._stage_subtree(rnode, effective, patch))
+                    (index, self._stage_subtree(subtree, effective, patch))
                 )
             else:
                 patch.direct_writes.append((index, DIRECT_LEAF | effective))
             return
-        if not subtree_needed:
+        if subtree is None:
             # The subtree collapsed to a single leaf: store the FIB index
             # directly (the paper's "leaf brought to the upper level" case,
             # taken all the way to the direct array) and free the subtree
@@ -344,14 +312,14 @@ class UpdatablePoptrie:
             patch.frees.append(("nodes", entry, 1))
             patch.direct_writes.append((index, DIRECT_LEAF | effective))
             return
-        self._stage_refine(entry, rnode, inherited, trie.s, prefix, patch)
+        self._stage_refine(entry, subtree, inherited, trie.s, prefix, patch)
 
     # -- subtree refinement -------------------------------------------------
 
     def _stage_refine(
         self,
         index: int,
-        rnode: Optional[RibNode],
+        rnode,
         inherited: int,
         offset: int,
         prefix: Prefix,
@@ -375,7 +343,7 @@ class UpdatablePoptrie:
                 break
             rank = (trie.vec[index] & ((2 << v) - 1)).bit_count() - 1
             child_index = trie.base1[index] + rank
-            rnode, inherited = _walk_chunk(rnode, inherited, v, k)
+            rnode, inherited = descend(rnode, inherited, v, k)
             index = child_index
             offset += k
         # Stage the in-place replacement: emit the new subtree's descendants
@@ -418,18 +386,3 @@ def _chunk_of(prefix: Prefix, offset: int, k: int) -> int:
     from repro.net.ip import extract
 
     return extract(prefix.value, offset, k, prefix.width)
-
-
-def _walk_chunk(
-    node: Optional[RibNode], inherited: int, v: int, k: int
-) -> Tuple[Optional[RibNode], int]:
-    """Walk ``k`` bits of value ``v`` down the radix tree, tracking the best
-    route seen *before* the destination node (its inherited index)."""
-    cur = node
-    for i in range(k):
-        if cur is None:
-            return None, inherited
-        if cur.route != NO_ROUTE:
-            inherited = cur.route
-        cur = cur.child((v >> (k - 1 - i)) & 1)
-    return cur, inherited

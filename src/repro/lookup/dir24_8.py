@@ -14,7 +14,6 @@ studies exist; including it grounds the memory-footprint comparisons.
 from __future__ import annotations
 
 from array import array
-from typing import List
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from repro.errors import StructuralLimitError
 from repro.lookup.base import LookupStructure, NoOptions, check_fib_capacity
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.rib import Rib
+from repro.net.rib import Rib, expand
 from repro.net.values import NO_ROUTE
 
 _CHUNK_FLAG = 1 << 15
@@ -55,49 +54,27 @@ class Dir24_8(LookupStructure):
             raise ValueError("DIR-24-8 is an IPv4 structure")
         check_fib_capacity(cls, rib.max_fib_index())
         tbl24 = array("H", bytes(2 << 24))
-        chunks: List[array] = []
-
-        # Walk the radix tree to depth 24, filling ranges (same controlled
-        # prefix expansion the Poptrie builder uses, at stride 24+8).
-        def fill(node, depth: int, base: int, inherited: int) -> None:
-            if node is not None and node.route != NO_ROUTE:
-                inherited = node.route
-            if depth == 24:
-                if node is not None and not node.is_leaf():
-                    if len(chunks) >= MAX_CHUNKS:
-                        raise StructuralLimitError(
-                            "DIR-24-8: more than 2^15 second-level chunks"
-                        )
-                    chunk = array("H", bytes(2 << 8))
-                    fill_chunk(node, 0, 0, inherited, chunk)
-                    tbl24[base] = _CHUNK_FLAG | len(chunks)
-                    chunks.append(chunk)
-                else:
-                    tbl24[base] = inherited
-                return
-            if node is None:
-                span = 1 << (24 - depth)
-                tbl24[base : base + span] = array("H", [inherited]) * span
-                return
-            half = 1 << (24 - depth - 1)
-            fill(node.left, depth + 1, base, inherited)
-            fill(node.right, depth + 1, base + half, inherited)
-
-        def fill_chunk(node, depth: int, base: int, inherited: int, chunk) -> None:
-            if node is not None and node.route != NO_ROUTE:
-                inherited = node.route
-            if depth == 8 or node is None:
-                span = 1 << (8 - depth)
-                chunk[base : base + span] = array("H", [inherited]) * span
-                return
-            half = 1 << (8 - depth - 1)
-            fill_chunk(node.left, depth + 1, base, inherited, chunk)
-            fill_chunk(node.right, depth + 1, base + half, inherited, chunk)
-
-        fill(rib.root, 0, 0, NO_ROUTE)
         tbl_long = array("H")
-        for chunk in chunks:
-            tbl_long.extend(chunk)
+        # Controlled prefix expansion at stride 24; each subtree left at
+        # depth 24 appends a 256-entry chunk to ``tbl_long``.
+        for base, span, next_hop, subtree in expand(rib.root, NO_ROUTE, 24):
+            if subtree is None:
+                if span == 1:
+                    tbl24[base] = next_hop
+                else:
+                    tbl24[base : base + span] = array("H", [next_hop]) * span
+                continue
+            chunk = len(tbl_long) >> 8
+            if chunk >= MAX_CHUNKS:
+                raise StructuralLimitError(
+                    "DIR-24-8: more than 2^15 second-level chunks"
+                )
+            tbl24[base] = _CHUNK_FLAG | chunk
+            for _, count, hop, _ in expand(subtree, next_hop, 8):
+                if count == 1:
+                    tbl_long.append(hop)
+                else:
+                    tbl_long.fromlist([hop] * count)
         return cls(tbl24, tbl_long)
 
     # -- LookupStructure -------------------------------------------------------

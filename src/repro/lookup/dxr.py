@@ -33,7 +33,7 @@ from repro.errors import StructuralLimitError
 from repro.lookup.base import LookupStructure, StructureConfig, check_fib_capacity
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.rib import Rib
+from repro.net.rib import Rib, expand
 from repro.net.values import NO_ROUTE
 
 _DIRECT_FLAG = 1 << 31
@@ -121,58 +121,39 @@ class Dxr(LookupStructure):
         # one bit; the IPv4 "modified" variant only widens the global index.
         chunk_limit = MAX_CHUNK_RANGES_IPV6 if width != 32 else MAX_CHUNK_RANGES
 
-        def emit_ranges(node, depth: int, pos: int, inherited: int, out) -> None:
-            """Append (start, nexthop) runs for the subtree at ``node``,
-            merging adjacent runs with equal next hops."""
-            if node is not None and node.route != NO_ROUTE:
-                inherited = node.route
-            if node is None or node.is_leaf() or depth == width:
-                if not out or out[-1][1] != inherited:
-                    out.append((pos, inherited))
-                return
-            half = 1 << (width - depth - 1)
-            emit_ranges(node.left, depth + 1, pos, inherited, out)
-            emit_ranges(node.right, depth + 1, pos + half, inherited, out)
-
-        def fill(node, depth: int, base: int, inherited: int) -> None:
-            if node is not None and node.route != NO_ROUTE:
-                inherited = node.route
-            if depth == s:
-                if node is None or node.is_leaf():
-                    table[base] = _DIRECT_FLAG | inherited
-                    return
-                runs: List[Tuple[int, int]] = []
-                emit_ranges(node, depth, 0, inherited, runs)
-                if len(runs) == 1:
-                    table[base] = _DIRECT_FLAG | runs[0][1]
-                    return
-                if len(runs) > chunk_limit:
-                    raise StructuralLimitError(
-                        f"DXR: {len(runs)} ranges in one chunk exceed the "
-                        f"{chunk_limit}-entry chunk format"
-                    )
-                range_base = len(starts)
-                if range_base + len(runs) > range_limit:
-                    raise StructuralLimitError(
-                        f"DXR: range table exceeds {range_limit} entries"
-                        + ("" if modified else " (try modified=True)")
-                    )
-                for start, nexthop in runs:
-                    starts.append(start)
-                    nexthops.append(nexthop)
-                chunk_bounds[base] = (range_base, len(runs))
-                table[base] = range_base  # flag bit clear ⇒ range format
-                return
-            if node is None:
-                value = _DIRECT_FLAG | inherited
-                span = 1 << (s - depth)
-                table[base : base + span] = array("I", [value]) * span
-                return
-            half = 1 << (s - depth - 1)
-            fill(node.left, depth + 1, base, inherited)
-            fill(node.right, depth + 1, base + half, inherited)
-
-        fill(rib.root, 0, 0, NO_ROUTE)
+        for base, span, next_hop, subtree in expand(rib.root, NO_ROUTE, s):
+            if subtree is not None:
+                # The chunk's ranges: its expansion over the remaining
+                # bits, adjacent runs with equal next hops merged.
+                run_starts: List[int] = []
+                run_hops: List[int] = []
+                for start, _, hop, _ in expand(subtree, next_hop, offset_bits):
+                    if not run_hops or run_hops[-1] != hop:
+                        run_starts.append(start)
+                        run_hops.append(hop)
+                count = len(run_hops)
+                if count > 1:
+                    if count > chunk_limit:
+                        raise StructuralLimitError(
+                            f"DXR: {count} ranges in one chunk exceed the "
+                            f"{chunk_limit}-entry chunk format"
+                        )
+                    range_base = len(starts)
+                    if range_base + count > range_limit:
+                        raise StructuralLimitError(
+                            f"DXR: range table exceeds {range_limit} entries"
+                            + ("" if modified else " (try modified=True)")
+                        )
+                    starts += run_starts
+                    nexthops.fromlist(run_hops)
+                    chunk_bounds[base] = (range_base, count)
+                    table[base] = range_base  # flag bit clear ⇒ range format
+                    continue
+                next_hop = run_hops[0]
+            if span == 1:
+                table[base] = _DIRECT_FLAG | next_hop
+            else:
+                table[base : base + span] = array("I", [_DIRECT_FLAG | next_hop]) * span
         return cls(s, width, table, starts, nexthops, chunk_bounds, modified)
 
     # -- LookupStructure -----------------------------------------------------

@@ -32,7 +32,7 @@ from repro.errors import StructuralLimitError
 from repro.lookup.base import LookupStructure, NoOptions, check_fib_capacity
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.rib import Rib, RibNode
+from repro.net.rib import Rib, RibNode, expand
 from repro.net.values import NO_ROUTE
 
 #: Items with this bit set point at a next-level chunk id.
@@ -111,34 +111,19 @@ class Lulea(LookupStructure):
         structure = cls()
         chunk_counts = [0, 0, 0]
 
-        def expand(node: Optional[RibNode], level: int, inherited: int) -> int:
+        def add_chunk(node: Optional[RibNode], inherited: int, level: int) -> int:
             """Expand one chunk at ``level``; returns its chunk id."""
-            bits = LEVEL_BITS[level]
-            values: List[int] = [NO_ROUTE] * (1 << bits)
-
-            def fill(cur: Optional[RibNode], depth: int, base: int, inh: int):
-                if cur is not None and cur.route != NO_ROUTE:
-                    inh = cur.route
-                if depth == bits:
-                    if (
-                        level + 1 < len(LEVEL_BITS)
-                        and cur is not None
-                        and not cur.is_leaf()
-                    ):
-                        child = expand(cur, level + 1, inh)
-                        values[base] = _CHUNK_FLAG | child
-                    else:
-                        values[base] = inh
-                    return
-                if cur is None:
-                    for i in range(base, base + (1 << (bits - depth))):
-                        values[i] = inh
-                    return
-                half = 1 << (bits - depth - 1)
-                fill(cur.left, depth + 1, base, inh)
-                fill(cur.right, depth + 1, base + half, inh)
-
-            fill(node, 0, 0, inherited)
+            values: List[int] = []
+            for _, span, next_hop, subtree in expand(
+                node, inherited, LEVEL_BITS[level]
+            ):
+                if subtree is not None:
+                    child = add_chunk(subtree, next_hop, level + 1)
+                    values.append(_CHUNK_FLAG | child)
+                elif span == 1:
+                    values.append(next_hop)
+                else:
+                    values += [next_hop] * span
             if chunk_counts[level] >= MAX_CHUNKS - 1:
                 raise StructuralLimitError(
                     f"Lulea: more than 2^15 level-{level + 1} chunks"
@@ -148,7 +133,7 @@ class Lulea(LookupStructure):
             chunk_counts[level] += 1
             return chunk_id
 
-        expand(rib.root, 0, NO_ROUTE)
+        add_chunk(rib.root, NO_ROUTE, 0)
         for i, level in enumerate(structure.levels):
             structure._regions.append(
                 structure.memmap.add_region(

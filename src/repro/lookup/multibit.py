@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from array import array
 from typing import Optional
 
+from repro.core.builder import expand_chunk
 from repro.lookup.base import LookupStructure, StructureConfig, check_fib_capacity
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
@@ -85,16 +86,12 @@ class MultibitTrie(LookupStructure):
         """Controlled prefix expansion of one chunk, recursing into
         children — the same walk as the Poptrie builder but materialising
         every slot."""
-        from repro.core.builder import expand_chunk
-
         base = node * self._slots
         for v, slot in enumerate(expand_chunk(rnode, inherited, self.k)):
             if isinstance(slot, tuple):
                 child_rnode, child_inherited = slot
-                # The slot's own next hop: the best route covering exactly
-                # this expanded value (for lookups ending here... lookups
-                # never end on a slot with a child, so store the inherited
-                # value for completeness).
+                # Lookups never end on a slot with a child; its next hop
+                # is the inherited one, kept for completeness.
                 self.nexthops[base + v] = child_inherited
                 child = self._append_node()
                 self.children[base + v] = child

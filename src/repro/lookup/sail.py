@@ -24,13 +24,12 @@ this implementation is IPv4-only like the paper's comparison.
 from __future__ import annotations
 
 from array import array
-from typing import List
 
 from repro.errors import StructuralLimitError
 from repro.lookup.base import LookupStructure, NoOptions, check_fib_capacity
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.rib import Rib
+from repro.net.rib import Rib, expand
 from repro.net.values import NO_ROUTE
 
 _CHUNK_FLAG = 1 << 15
@@ -62,68 +61,34 @@ class Sail(LookupStructure):
             raise ValueError("SAIL_L is an IPv4 structure")
         check_fib_capacity(cls, rib.max_fib_index())
 
-        bcn16 = array("H", bytes(2 << 16))
-        chunks24: List[array] = []
-        chunks32: List[array] = []
+        bcn16, bcn24, n32 = array("H"), array("H"), array("H")
+        levels = [(bcn16, 16), (bcn24, 8), (n32, 8)]
 
-        def new_chunk(chunk_list: List[array], limit_name: str) -> int:
-            # Identifiers are 1-based (0 means "next hop"), so at most
-            # 2^15 - 1 chunks fit in the 15-bit BCN field.
-            if len(chunk_list) >= MAX_CHUNKS - 1:
-                raise StructuralLimitError(
-                    f"SAIL: more than 2^15 {limit_name} chunk identifiers"
-                )
-            chunk_list.append(array("H", bytes(2 << 8)))
-            return len(chunk_list)
+        def append_chunk(level: int, node, inherited: int) -> None:
+            """Append the expansion of the radix subtree at ``node`` to
+            ``level``'s array (0: level 16, 1: 24, 2: 32); each subtree
+            left at the chunk's end gets the next level's next chunk."""
+            out, stride = levels[level]
+            for _, span, next_hop, subtree in expand(node, inherited, stride):
+                if subtree is None:
+                    if span == 1:
+                        out.append(next_hop)
+                    else:
+                        out.fromlist([next_hop] * span)
+                    continue
+                # Identifiers are 1-based (0 means "next hop"), so at most
+                # 2^15 - 1 chunks fit in the 15-bit BCN field.
+                ident = (len(levels[level + 1][0]) >> 8) + 1
+                if ident >= MAX_CHUNKS:
+                    raise StructuralLimitError(
+                        f"SAIL: more than 2^15 level-{24 + 8 * level} chunk "
+                        "identifiers"
+                    )
+                append_chunk(level + 1, subtree, next_hop)
+                out.append(_CHUNK_FLAG | ident)
 
-        # Controlled prefix expansion in strides of 16, 8, 8 — the same
-        # radix-walk used by every other builder in the library.
-        def fill16(node, depth: int, base: int, inherited: int) -> None:
-            if node is not None and node.route != NO_ROUTE:
-                inherited = node.route
-            if depth == 16:
-                if node is not None and not node.is_leaf():
-                    ident = new_chunk(chunks24, "level-24")
-                    bcn16[base] = _CHUNK_FLAG | ident
-                    fill8(node, 0, 0, inherited, chunks24[ident - 1], 24)
-                else:
-                    bcn16[base] = inherited
-                return
-            if node is None:
-                span = 1 << (16 - depth)
-                bcn16[base : base + span] = array("H", [inherited]) * span
-                return
-            half = 1 << (16 - depth - 1)
-            fill16(node.left, depth + 1, base, inherited)
-            fill16(node.right, depth + 1, base + half, inherited)
-
-        def fill8(node, depth: int, base: int, inherited: int, chunk, level) -> None:
-            if node is not None and node.route != NO_ROUTE:
-                inherited = node.route
-            if depth == 8:
-                if level == 24 and node is not None and not node.is_leaf():
-                    ident = new_chunk(chunks32, "level-32")
-                    chunk[base] = _CHUNK_FLAG | ident
-                    fill8(node, 0, 0, inherited, chunks32[ident - 1], 32)
-                else:
-                    chunk[base] = inherited
-                return
-            if node is None:
-                span = 1 << (8 - depth)
-                chunk[base : base + span] = array("H", [inherited]) * span
-                return
-            half = 1 << (8 - depth - 1)
-            fill8(node.left, depth + 1, base, inherited, chunk, level)
-            fill8(node.right, depth + 1, base + half, inherited, chunk, level)
-
-        fill16(rib.root, 0, 0, NO_ROUTE)
-
-        bcn24 = array("H")
-        for chunk in chunks24:
-            bcn24.extend(chunk)
-        n32 = array("H")
-        for chunk in chunks32:
-            n32.extend(chunk)
+        # Controlled prefix expansion in strides of 16, 8, 8.
+        append_chunk(0, rib.root, NO_ROUTE)
         return cls(bcn16, bcn24, n32)
 
     # -- LookupStructure ---------------------------------------------------------

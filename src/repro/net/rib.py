@@ -10,9 +10,10 @@ per level).  It also provides:
 - :meth:`Rib.lookup_with_depth`, which reports the *binary radix depth*:
   the number of bits that had to be examined to decide the longest match.
   Section 4.1 and Figures 7 and 11 of the paper are built on this quantity,
-- subtree walking primitives used by the Poptrie / Tree BitMap / SAIL / DXR
-  builders (controlled prefix expansion),
-- change marking used by the incremental update engine (Section 3.5).
+- :func:`expand`, the one controlled-prefix-expansion walk every
+  stride-based builder compiles from (Poptrie and its direct pointing,
+  the incremental updater, DIR-24-8, SAIL, DXR, Lulea, Multibit), and
+  :func:`descend`, the matching walk down one key's path.
 """
 
 from __future__ import annotations
@@ -33,18 +34,14 @@ class RibNode:
     """One node of the binary radix tree.
 
     ``route`` is a FIB index (``NO_ROUTE`` when the node carries no route).
-    ``marked`` supports the incremental-update protocol of Section 3.5: the
-    update engine marks the nodes whose effective next hop changed and the
-    Poptrie updater rebuilds only the corresponding subtrie.
     """
 
-    __slots__ = ("left", "right", "route", "marked")
+    __slots__ = ("left", "right", "route")
 
     def __init__(self) -> None:
         self.left: Optional[RibNode] = None
         self.right: Optional[RibNode] = None
         self.route: int = NO_ROUTE
-        self.marked: bool = False
 
     def child(self, bit: int) -> Optional["RibNode"]:
         return self.right if bit else self.left
@@ -204,12 +201,7 @@ class Rib:
 
     def get(self, prefix: Prefix) -> int:
         """Exact-match: FIB index of ``prefix`` or ``NO_ROUTE``."""
-        self._check(prefix)
-        node: Optional[RibNode] = self.root
-        for i in range(prefix.length):
-            if node is None:
-                return NO_ROUTE
-            node = node.child(prefix.bit(i))
+        node = self.node_at(prefix)
         return node.route if node is not None else NO_ROUTE
 
     # -- lookup ------------------------------------------------------------
@@ -315,68 +307,25 @@ class Rib:
     def node_at(self, prefix: Prefix) -> Optional[RibNode]:
         """The radix node exactly at ``prefix``, or ``None``."""
         self._check(prefix)
-        node: Optional[RibNode] = self.root
-        for i in range(prefix.length):
-            if node is None:
-                return None
-            node = node.child(prefix.bit(i))
+        bits = prefix.length
+        node, _ = descend(
+            self.root, NO_ROUTE, prefix.value >> (self.width - bits), bits
+        )
         return node
 
     def best_route_on_path(self, prefix: Prefix) -> int:
         """FIB index of the longest route covering ``prefix``'s network address
         with length ≤ ``prefix.length`` (the inherited next hop at that point
-        in the tree).  Used by the builders when expanding subtrees.
+        in the tree): the next hop of a BSearch-Lengths marker.
         """
         self._check(prefix)
-        node: Optional[RibNode] = self.root
-        best = NO_ROUTE
-        for i in range(prefix.length):
-            if node is None:
-                return best
-            if node.route != NO_ROUTE:
-                best = node.route
-            node = node.child(prefix.bit(i))
+        bits = prefix.length
+        node, best = descend(
+            self.root, NO_ROUTE, prefix.value >> (self.width - bits), bits
+        )
         if node is not None and node.route != NO_ROUTE:
             best = node.route
         return best
-
-    # -- incremental-update marking (Section 3.5) ---------------------------
-
-    def mark_subtree(self, prefix: Prefix) -> int:
-        """Mark every node in the subtree rooted at ``prefix``.
-
-        Returns the number of nodes marked.  The Poptrie updater consumes the
-        marks to decide which internal nodes must be rebuilt.
-        """
-        root = self.node_at(prefix)
-        if root is None:
-            return 0
-        count = 0
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if not node.marked:
-                node.marked = True
-                count += 1
-            if node.left is not None:
-                stack.append(node.left)
-            if node.right is not None:
-                stack.append(node.right)
-        return count
-
-    def clear_marks(self, prefix: Optional[Prefix] = None) -> None:
-        """Clear marks in the subtree at ``prefix`` (whole tree if omitted)."""
-        root = self.root if prefix is None else self.node_at(prefix)
-        if root is None:
-            return
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            node.marked = False
-            if node.left is not None:
-                stack.append(node.left)
-            if node.right is not None:
-                stack.append(node.right)
 
     # -- internals -----------------------------------------------------------
 
@@ -397,6 +346,62 @@ class Rib:
                 self._node_count += 1
             node = nxt
         return node
+
+
+def descend(
+    node: Optional[RibNode], inherited: int, value: int, bits: int
+) -> Tuple[Optional[RibNode], int]:
+    """Walk ``bits`` bits of ``value`` (MSB first) down from ``node``.
+
+    Returns the node reached (``None`` once the path leaves the tree)
+    and the best route strictly above it: ``inherited``, overridden by
+    each route passed on the way down.
+    """
+    for shift in range(bits - 1, -1, -1):
+        if node is None:
+            break
+        if node.route != NO_ROUTE:
+            inherited = node.route
+        node = node.right if (value >> shift) & 1 else node.left
+    return node, inherited
+
+
+def expand(
+    node: Optional[RibNode], inherited: int, stride: int
+) -> Iterator[Tuple[int, int, int, Optional[RibNode]]]:
+    """Controlled prefix expansion of ``stride`` bits below ``node``.
+
+    Yields ``(base, span, next_hop, subtree)`` runs in slot order; together
+    they cover ``range(2**stride)`` exactly once.  ``inherited`` is the
+    best route strictly above ``node``, and each node's own route is
+    folded into ``next_hop`` on the way down.  A run without a
+    ``subtree`` fills its ``span`` slots with ``next_hop``: a missing
+    node, or a node without children, is one run at any depth.
+    ``subtree`` is set only at depth ``stride``, with ``span == 1``, on a
+    node that has children; the caller expands it further, inheriting
+    ``next_hop``.
+    """
+    stack = [(node, stride, 0, inherited)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, bits, base, inherited = pop()
+        # Follow left children in the loop, deferring each right one.
+        while True:
+            if node is None:
+                yield base, 1 << bits, inherited, None
+                break
+            if node.route != NO_ROUTE:
+                inherited = node.route
+            left, right = node.left, node.right
+            if left is None and right is None:
+                yield base, 1 << bits, inherited, None
+                break
+            if not bits:
+                yield base, 1, inherited, node
+                break
+            bits -= 1
+            push((right, bits, base | (1 << bits), inherited))
+            node = left
 
 
 def rib_from_routes(

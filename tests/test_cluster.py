@@ -418,8 +418,10 @@ class TestReplication:
             install = replica._install_checkpoint
 
             async def capture(seqno, image):
-                received.append((seqno, bytes(image)))
+                # Record only once the install (a thread hop) is done,
+                # so the route check below sees the installed RIB.
                 await install(seqno, image)
+                received.append((seqno, bytes(image)))
             replica._install_checkpoint = capture
             await replica.start()
             await wait_for(lambda: received, what="checkpoint re-sync")

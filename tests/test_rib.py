@@ -1,12 +1,14 @@
 """Unit tests for the radix-tree RIB."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import make_random_rib, naive_lpm, random_keys
 
 from repro.net.prefix import Prefix
-from repro.net.rib import Rib, rib_from_routes
+from repro.net.rib import Rib, descend, expand, rib_from_routes
 from repro.net.values import NO_ROUTE
 
 
@@ -158,6 +160,109 @@ class TestWalking:
         assert rib.best_route_on_path(Prefix.parse("10.1.0.0/16")) == 1
 
 
+def _bit_walk(node, inherited, value, bits):
+    """Reference descent: one ``child()`` call per bit, MSB first."""
+    for i in range(bits):
+        if node is None:
+            break
+        if node.route != NO_ROUTE:
+            inherited = node.route
+        node = node.child((value >> (bits - 1 - i)) & 1)
+    return node, inherited
+
+
+class TestExpand:
+    """``expand`` (controlled prefix expansion) and ``descend`` (one
+    key's path), the two walks every stride-based builder shares."""
+
+    @staticmethod
+    def _check_runs(node, inherited, stride):
+        runs = list(expand(node, inherited, stride))
+        at = 0
+        for base, span, next_hop, subtree in runs:
+            # Ascending and contiguous, in slot order.
+            assert base == at and span >= 1
+            at += span
+            # The run carries the best route on its slot's path, and a
+            # subtree exactly where that path ends on a node with
+            # children at depth ``stride``.
+            reached, hop = descend(node, inherited, base, stride)
+            if reached is not None and reached.route != NO_ROUTE:
+                hop = reached.route
+            assert next_hop == hop
+            if subtree is not None:
+                assert span == 1 and subtree is reached
+                assert not subtree.is_leaf()
+            else:
+                assert reached is None or reached.is_leaf()
+        assert at == 1 << stride
+        return runs
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        width=st.sampled_from([32, 128]),
+        n_routes=st.integers(min_value=0, max_value=60),
+        seed=st.integers(min_value=0, max_value=1_000_000),
+        stride=st.one_of(st.integers(min_value=0, max_value=8), st.just(None)),
+        inherited=st.integers(min_value=0, max_value=50),
+    )
+    def test_runs_cover_the_chunk_once(
+        self, width, n_routes, seed, stride, inherited
+    ):
+        rib = make_random_rib(n_routes, seed=seed, width=width)
+        if stride is None:
+            # The wide strides builders use: DIR-24-8's first level, and
+            # a D16R chunk's remaining bits on IPv6.
+            stride = 24 if width == 32 else 112
+        # From the root, every run without a subtree answers the LPM of
+        # its first address.
+        for base, _, next_hop, subtree in self._check_runs(
+            rib.root, NO_ROUTE, stride
+        ):
+            if subtree is None:
+                assert next_hop == rib.lookup(base << (width - stride))
+        # From interior nodes on a route's path, with any inherited hop.
+        rng = random.Random(seed)
+        routes = [prefix for prefix, _ in rib.routes()]
+        for prefix in rng.sample(routes, min(len(routes), 4)):
+            depth = rng.randint(0, min(prefix.length, width - stride))
+            node, _ = descend(
+                rib.root, NO_ROUTE, prefix.value >> (width - depth), depth
+            )
+            self._check_runs(node, inherited, stride)
+
+    def test_missing_and_childless_nodes_are_one_run(self):
+        assert list(expand(None, 7, 6)) == [(0, 64, 7, None)]
+        rib = Rib()
+        rib.insert(Prefix.parse("10.0.0.0/8"), 3)
+        node = rib.node_at(Prefix.parse("10.0.0.0/8"))
+        assert list(expand(node, 1, 4)) == [(0, 16, 3, None)]
+        assert list(expand(rib.root, NO_ROUTE, 0)) == [(0, 1, 0, rib.root)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        width=st.sampled_from([32, 128]),
+        seed=st.integers(min_value=0, max_value=1_000_000),
+        inherited=st.integers(min_value=0, max_value=50),
+    )
+    def test_descend_agrees_with_a_bit_walk(self, width, seed, inherited):
+        rib = make_random_rib(40, seed=seed, width=width)
+        rng = random.Random(seed)
+        routes = [prefix for prefix, _ in rib.routes()]
+        for _ in range(20):
+            # Mostly along a route's path, sometimes off every path.
+            if rng.random() < 0.7:
+                prefix = rng.choice(routes)
+                bits = rng.randint(0, prefix.length)
+                value = prefix.value >> (width - bits)
+            else:
+                bits = rng.randint(0, width)
+                value = rng.getrandbits(bits) if bits else 0
+            assert descend(rib.root, inherited, value, bits) == _bit_walk(
+                rib.root, inherited, value, bits
+            )
+
+
 class TestBulkBuild:
     """``load_sorted`` / ``route_columns`` / ``max_fib_index`` against the
     per-route ``insert`` / ``routes`` they stand in for."""
@@ -234,22 +339,6 @@ class TestBulkBuild:
         rib.insert(Prefix.parse("10.0.0.0/8"), 1)
         with pytest.raises(ValueError, match="empty"):
             rib.load_sorted([], [], [])
-
-
-class TestMarking:
-    def test_mark_and_clear(self):
-        rib = Rib()
-        rib.insert(Prefix.parse("10.0.0.0/8"), 1)
-        rib.insert(Prefix.parse("10.1.0.0/16"), 2)
-        count = rib.mark_subtree(Prefix.parse("10.0.0.0/8"))
-        assert count > 0
-        node = rib.node_at(Prefix.parse("10.0.0.0/8"))
-        assert node is not None and node.marked
-        rib.clear_marks()
-        assert not node.marked
-
-    def test_mark_missing_subtree(self):
-        assert Rib().mark_subtree(Prefix.parse("10.0.0.0/8")) == 0
 
 
 class TestMemory:
