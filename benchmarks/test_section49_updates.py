@@ -18,9 +18,9 @@ from benchmarks.conftest import SCALE, dataset, emit
 
 from repro.bench.report import Table
 from repro.core.poptrie import Poptrie, PoptrieConfig
-from repro.core.update import UpdatablePoptrie
 from repro.data.updates import generate_update_stream
 from repro.net.rib import Rib
+from repro.robust.txn import TransactionalPoptrie
 
 PAPER = {
     "toplevel/update": 0.041,
@@ -37,8 +37,8 @@ def _copy(rib: Rib) -> Rib:
     return out
 
 
-def replay_stream(up: UpdatablePoptrie, updates) -> None:
-    """Apply a stream one update at a time, without transactions."""
+def replay_stream(up: TransactionalPoptrie, updates) -> None:
+    """Apply a stream one update at a time, one transaction each."""
     for update in updates:
         if update.kind == "A":
             up.announce(update.prefix, update.nexthop)
@@ -50,7 +50,7 @@ def test_section49_incremental_updates(benchmark):
     ds = dataset("RV-linx-p52")
     count = max(int(23446 * SCALE), 200)
     stream = generate_update_stream(ds.rib, count, seed=52)
-    up = UpdatablePoptrie(PoptrieConfig(s=18), rib=_copy(ds.rib))
+    up = TransactionalPoptrie(PoptrieConfig(s=18), rib=_copy(ds.rib))
 
     start = time.perf_counter()
     replay_stream(up, stream)
@@ -95,7 +95,7 @@ def test_section49_full_route_insertion(benchmark):
     random.Random(7).shuffle(routes)
 
     def insert_all():
-        up = UpdatablePoptrie(PoptrieConfig(s=18))
+        up = TransactionalPoptrie(PoptrieConfig(s=18))
         for prefix, hop in routes:
             up.announce(prefix, hop)
         return up

@@ -13,9 +13,9 @@ import sys
 import time
 
 from repro.core.poptrie import Poptrie, PoptrieConfig
-from repro.core.update import UpdatablePoptrie
 from repro.data.synth import generate_table
 from repro.data.updates import generate_update_stream
+from repro.robust.txn import TransactionalPoptrie
 
 
 def main() -> None:
@@ -28,7 +28,7 @@ def main() -> None:
     print(f"table: {len(rib)} routes; stream: {announces} announcements, "
           f"{len(stream) - announces} withdrawals")
 
-    up = UpdatablePoptrie(PoptrieConfig(s=18), rib=rib)
+    up = TransactionalPoptrie(PoptrieConfig(s=18), rib=rib)
     rng = random.Random(1)
     probes = [rng.getrandbits(32) for _ in range(200)]
 

@@ -4,7 +4,7 @@
 Run:  python examples/quickstart.py
 """
 
-from repro import Poptrie, PoptrieConfig, Prefix, Rib, UpdatablePoptrie
+from repro import Poptrie, PoptrieConfig, Prefix, Rib, TransactionalPoptrie
 
 
 def main() -> None:
@@ -41,7 +41,7 @@ def main() -> None:
     print("batch:", trie.lookup_batch(keys).tolist())
 
     # 5. Incremental updates without recompiling (Section 3.5).
-    updatable = UpdatablePoptrie(PoptrieConfig(s=18))
+    updatable = TransactionalPoptrie(PoptrieConfig(s=18))
     for text, fib_index in routes:
         updatable.announce(Prefix.parse(text), fib_index)
     updatable.withdraw(Prefix.parse("10.64.0.0/10"))

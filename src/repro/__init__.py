@@ -30,7 +30,6 @@ paper-vs-measured record.
 
 from repro import obs
 from repro.core.poptrie import Poptrie, PoptrieConfig
-from repro.core.update import UpdatablePoptrie
 from repro.errors import (
     ClusterError,
     InjectedFault,
@@ -96,7 +95,6 @@ __all__ = [
     "LookupStructure",
     "registry",
     "obs",
-    "UpdatablePoptrie",
     "TransactionalPoptrie",
     "FaultPlan",
     "verify_poptrie",

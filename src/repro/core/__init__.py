@@ -5,8 +5,9 @@
   compression, direct pointing.
 - :mod:`repro.core.builder` — compilation from the radix-tree RIB
   (controlled prefix expansion and node serialization).
-- :mod:`repro.core.update` — incremental, swap-on-commit updates
-  (Section 3.5).
+- :mod:`repro.core.update` — the surgery of incremental, swap-on-commit
+  updates (Section 3.5), driven by
+  :class:`repro.robust.txn.TransactionalPoptrie`.
 - :mod:`repro.core.aggregate` — route aggregation (the FIB compression the
   paper applies before compilation) plus an optimal ORTC variant.
 
@@ -15,6 +16,6 @@ Batch lookups run the branchless Poptrie kernel in
 """
 
 from repro.core.poptrie import Poptrie, PoptrieConfig
-from repro.core.update import UpdatablePoptrie, UpdateStats
+from repro.core.update import UpdateStats
 
-__all__ = ["Poptrie", "PoptrieConfig", "UpdatablePoptrie", "UpdateStats"]
+__all__ = ["Poptrie", "PoptrieConfig", "UpdateStats"]

@@ -86,8 +86,8 @@ class Poptrie(LookupStructure):
     """The Poptrie lookup structure.
 
     Build one with :meth:`from_rib` (or through
-    :class:`repro.core.update.UpdatablePoptrie` when incremental updates are
-    needed):
+    :class:`repro.robust.txn.TransactionalPoptrie` when incremental updates
+    are needed):
 
     >>> from repro.net.rib import Rib
     >>> from repro.net.prefix import Prefix

@@ -1,25 +1,22 @@
-"""Incremental Poptrie updates (Section 3.5).
+"""Incremental Poptrie update surgery (Section 3.5).
 
 The paper's update protocol builds the replacement part of the trie on the
 side, then publishes it with a single atomic pointer/index write so readers
-never observe a half-built structure.  This module reproduces that shape:
+never observe a half-built structure.  This module holds that surgery as
+functions of a compiled :class:`~repro.core.poptrie.Poptrie` and the RIB it
+was compiled from; :class:`repro.robust.txn.TransactionalPoptrie` is the
+one engine that drives them, one transaction per update.
 
-- :class:`UpdatablePoptrie` owns the RIB (a radix tree) and the compiled
-  Poptrie.  ``announce``/``withdraw`` pass the update through
-  :func:`repro.data.updates.check_update` (rejecting malformed ones with
-  :class:`~repro.errors.UpdateRejectedError` *before* touching any
-  state), update the RIB, then surgically rebuild only the affected
-  poptrie subtree.
-- Each update runs in two phases.  **Staging** builds the replacement
-  subtree entirely on the side — fresh buddy-allocator blocks, children
-  emitted before parents — and records the writes that would publish it in
-  a :class:`_Patch` without touching anything a reader can see.  **Commit**
-  applies those writes (one node write or a run of direct-array entries),
-  bumps the generation counter, and only then frees the blocks of the
-  replaced subtree.  An exception during staging therefore leaves the
-  visible structure untouched: the transactional layer
-  (:mod:`repro.robust.txn`) only has to return the allocators and counters
-  to their pre-update state to roll back completely.
+- :func:`stage` runs after the RIB already holds the update.  It builds
+  the replacement subtree entirely on the side — fresh buddy-allocator
+  blocks, children emitted before parents — and records the writes that
+  would publish it in a :class:`_Patch` without touching anything a reader
+  can see.  An exception during staging therefore leaves the visible
+  structure untouched: rolling back only has to return the allocators and
+  counters to their pre-update state.
+- :func:`commit` applies those writes (one node write or a run of
+  direct-array entries), counts the replacements in :class:`UpdateStats`,
+  and only then frees the blocks of the replaced subtree.
 - The rebuild descends the chunk path while the node's ``(vector,
   leafvec)`` signature is unchanged — those nodes are kept and only a child
   pointer swap is needed — and rebuilds the deepest subtree whose shape
@@ -41,9 +38,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.core import builder
-from repro.core.poptrie import DIRECT_LEAF, Poptrie, PoptrieConfig
-from repro.data.updates import Update, check_update
-from repro.errors import ReplaceCostExceeded
+from repro.core.poptrie import DIRECT_LEAF, Poptrie
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib, descend, expand
 from repro.net.values import NO_ROUTE
@@ -88,297 +83,225 @@ class _Patch:
     leaves: int = 0
 
 
-class UpdatablePoptrie:
-    """A Poptrie kept in sync with its RIB by incremental updates.
+def stage(trie: Poptrie, rib: Rib, prefix: Prefix) -> _Patch:
+    """Build the replacement for the part of ``trie`` that ``prefix``
+    covers, as ``rib`` now has it, on the side; nothing visible yet.
 
-    >>> up = UpdatablePoptrie()
-    >>> up.announce(Prefix.parse("10.0.0.0/8"), 1)
-    >>> up.announce(Prefix.parse("10.64.0.0/10"), 2)
-    >>> up.lookup(Prefix.parse("10.64.1.1/32").value)
-    2
-    >>> up.withdraw(Prefix.parse("10.64.0.0/10"))
-    >>> up.lookup(Prefix.parse("10.64.1.1/32").value)
-    1
+    >>> rib = Rib()
+    >>> trie = Poptrie.from_rib(rib)
+    >>> rib.insert(Prefix.parse("10.0.0.0/24"), 1)  # the RIB first
+    0
+    >>> patch = stage(trie, rib, Prefix.parse("10.0.0.0/24"))
+    >>> trie.lookup(Prefix.parse("10.0.0.1/32").value)  # not published yet
+    0
+    >>> stats = UpdateStats()
+    >>> commit(trie, patch, stats)
+    >>> trie.lookup(Prefix.parse("10.0.0.1/32").value), stats.updates
+    (1, 1)
     """
+    patch = _Patch()
+    if trie.s and prefix.length <= trie.s:
+        _stage_toplevel_range(trie, rib, prefix, patch)
+    elif trie.s:
+        _stage_direct_entry(trie, rib, prefix, patch)
+    else:
+        _stage_refine(trie, trie.root_index, rib.root, NO_ROUTE, 0, prefix, patch)
+    return patch
 
-    def __init__(
-        self,
-        config: PoptrieConfig = PoptrieConfig(),
-        width: int = 32,
-        rib: Optional[Rib] = None,
-        trie: Optional[Poptrie] = None,
-    ) -> None:
-        self.rib = rib if rib is not None else Rib(width=width)
-        #: ``trie`` adopts an already-compiled Poptrie instead of
-        #: recompiling — the caller guarantees it agrees with ``rib``
-        #: (the registry's ``apply_updates`` path wraps the live served
-        #: structure this way, so updates land in place).
-        if trie is not None:
-            self.trie = trie
+
+def commit(trie: Poptrie, patch: _Patch, stats: UpdateStats) -> None:
+    """Publish a staged patch, count it, then release the replaced blocks.
+
+    The only writes a reader can observe happen here, and each is
+    individually atomic under the GIL: the single root-node write that
+    swings a rebuilt subtree in, and direct-array entry stores whose old
+    and new targets are both complete structures throughout.  No fault
+    point fires here.
+    """
+    if patch.node_write is not None:
+        trie.write_node(*patch.node_write)
+    direct = trie.direct
+    for index, value in patch.direct_writes:
+        direct[index] = value
+    for base, span, value in patch.direct_fills:
+        direct[base : base + span] = array("I", [value]) * span
+    stats.updates += 1
+    stats.toplevel_replacements += patch.toplevel
+    stats.inodes_replaced += patch.inodes
+    stats.leaves_replaced += patch.leaves
+    _publish_update_obs(patch.toplevel, patch.inodes, patch.leaves)
+    for kind, offset, count in patch.frees:
+        if kind == "nodes":
+            trie.free_nodes(offset, count)
         else:
-            self.trie = Poptrie.from_rib(self.rib, config)
-        self.stats = UpdateStats()
-        #: Incremented once per committed update; a reader observing the same
-        #: generation before and after a lookup saw a consistent structure.
-        self.generation = 0
-        #: When set (by the transactional layer), staging raises
-        #: :class:`~repro.errors.ReplaceCostExceeded` if an update would
-        #: replace more than this many internal nodes; the transactional
-        #: layer rolls back and degrades to a full rebuild.  Leave ``None``
-        #: on a bare UpdatablePoptrie.
-        self.rebuild_threshold: Optional[int] = None
+            trie.free_leaves(offset, count)
 
-    # -- public API ----------------------------------------------------------
 
-    def lookup(self, key: int) -> int:
-        return self.trie.lookup(key)
+def _publish_update_obs(
+    toplevel: int, inodes: int, leaves: int, engine: str = "incremental",
+) -> None:
+    """Mirror one committed update into the metrics registry (§4.9's
+    replacement quantities); a no-op while observability is disabled."""
+    from repro import obs
 
-    def _publish_update_obs(
-        self, toplevel: int, inodes: int, leaves: int,
-        engine: str = "incremental",
-    ) -> None:
-        """Mirror one committed update into the metrics registry (§4.9's
-        replacement quantities); a no-op while observability is disabled."""
-        from repro import obs
+    if not obs.enabled():
+        return
+    reg = obs.registry()
+    reg.counter(
+        "repro_updates_total", "Committed route updates.", engine=engine
+    ).inc()
+    reg.counter(
+        "repro_update_toplevel_replacements_total",
+        "Direct-array entries rewritten by updates.",
+    ).inc(toplevel)
+    reg.counter(
+        "repro_update_inodes_replaced_total",
+        "Internal nodes replaced by updates.",
+    ).inc(inodes)
+    reg.counter(
+        "repro_update_leaves_replaced_total",
+        "Leaf slots replaced by updates.",
+    ).inc(leaves)
 
-        if not obs.enabled():
-            return
-        reg = obs.registry()
-        reg.counter(
-            "repro_updates_total", "Committed route updates.", engine=engine
-        ).inc()
-        reg.counter(
-            "repro_update_toplevel_replacements_total",
-            "Direct-array entries rewritten by updates.",
-        ).inc(toplevel)
-        reg.counter(
-            "repro_update_inodes_replaced_total",
-            "Internal nodes replaced by updates.",
-        ).inc(inodes)
-        reg.counter(
-            "repro_update_leaves_replaced_total",
-            "Leaf slots replaced by updates.",
-        ).inc(leaves)
 
-    @property
-    def fib_limit(self) -> int:
-        """The largest next-hop index the trie's leaves encode."""
-        return self.trie.fib_limit
+def _stage_subtree(trie: Poptrie, rnode, inherited: int, patch: _Patch) -> int:
+    """Serialize a fresh subtree for ``rnode``; returns its root index."""
+    tmp = builder.expand_node(rnode, inherited, trie.k, trie.config.use_leafvec)
+    serializer = builder.Serializer(trie)
+    index = serializer.serialize(tmp)
+    patch.inodes += serializer.nodes_written
+    patch.leaves += serializer.leaves_written
+    return index
 
-    def announce(self, prefix: Prefix, fib_index: int) -> None:
-        """Insert or replace a route and incrementally update the FIB.
 
-        Raises :class:`~repro.errors.UpdateRejectedError` — before any
-        state is mutated — when :func:`~repro.data.updates.check_update`
-        refuses the update (say, a next hop beyond :attr:`fib_limit`).
-        """
-        check_update(Update("A", prefix, fib_index), self.rib, self.fib_limit)
-        previous = self.rib.insert(prefix, fib_index)
-        if previous != fib_index:
-            self._apply(prefix)
+# -- top-level (direct pointing) updates ----------------------------------------
 
-    def withdraw(self, prefix: Prefix) -> None:
-        """Remove a route and incrementally update the FIB.
 
-        Raises :class:`~repro.errors.UpdateRejectedError` — before any
-        state is mutated — when the prefix is not in the RIB.
-        """
-        check_update(Update("W", prefix), self.rib, self.fib_limit)
-        self.rib.delete(prefix)
-        self._apply(prefix)
+def _stage_toplevel_range(
+    trie: Poptrie, rib: Rib, prefix: Prefix, patch: _Patch
+) -> None:
+    """Stage a rewrite of the direct-array slice covered by a prefix with
+    length ≤ s.
 
-    # -- update machinery ------------------------------------------------------
-
-    def _apply(self, prefix: Prefix) -> None:
-        """Stage the structural change for ``prefix``, then commit it."""
-        patch = self._stage(prefix)
-        if (
-            self.rebuild_threshold is not None
-            and patch.inodes > self.rebuild_threshold
-        ):
-            raise ReplaceCostExceeded(
-                f"update replaces {patch.inodes} nodes, over the "
-                f"threshold of {self.rebuild_threshold}"
-            )
-        self._commit(patch)
-
-    def _stage(self, prefix: Prefix) -> _Patch:
-        """Build the replacement subtree on the side; nothing visible yet."""
-        trie = self.trie
-        patch = _Patch()
-        if trie.s and prefix.length <= trie.s:
-            self._stage_toplevel_range(prefix, patch)
-        elif trie.s:
-            self._stage_direct_entry(prefix, patch)
-        else:
-            self._stage_refine(
-                trie.root_index, self.rib.root, NO_ROUTE, 0, prefix, patch
-            )
-        return patch
-
-    def _commit(self, patch: _Patch) -> None:
-        """Publish a staged patch, then release the replaced blocks.
-
-        The only writes a reader can observe happen here, and each is
-        individually atomic under the GIL: the single root-node write that
-        swings a rebuilt subtree in, and direct-array entry stores whose
-        old and new targets are both complete structures throughout.
-        """
-        trie = self.trie
-        if patch.node_write is not None:
-            trie.write_node(*patch.node_write)
-        direct = trie.direct
-        for index, value in patch.direct_writes:
-            direct[index] = value
-        for base, span, value in patch.direct_fills:
-            direct[base : base + span] = array("I", [value]) * span
-        self.stats.updates += 1
-        self.stats.toplevel_replacements += patch.toplevel
-        self.stats.inodes_replaced += patch.inodes
-        self.stats.leaves_replaced += patch.leaves
-        self.generation += 1
-        self._publish_update_obs(patch.toplevel, patch.inodes, patch.leaves)
-        for kind, offset, count in patch.frees:
-            if kind == "nodes":
-                trie.free_nodes(offset, count)
-            else:
-                trie.free_leaves(offset, count)
-
-    def _stage_subtree(self, rnode, inherited: int, patch: _Patch) -> int:
-        """Serialize a fresh subtree for ``rnode``; returns its root index."""
-        trie = self.trie
-        tmp = builder.expand_node(rnode, inherited, trie.k, trie.config.use_leafvec)
-        serializer = builder.Serializer(trie)
-        index = serializer.serialize(tmp)
-        patch.inodes += serializer.nodes_written
-        patch.leaves += serializer.leaves_written
-        return index
-
-    # -- top-level (direct pointing) updates ------------------------------------
-
-    def _stage_toplevel_range(self, prefix: Prefix, patch: _Patch) -> None:
-        """Stage a rewrite of the direct-array slice covered by a prefix
-        with length ≤ s.
-
-        The paper replaces the entire 2^s array in this case; rewriting the
-        covered slice has the same observable result and the same accounting
-        (one top-level replacement event).
-        """
-        trie = self.trie
-        stride = trie.s - prefix.length
-        base = prefix.value >> (trie.width - trie.s)
-        for i in range(base, base + (1 << stride)):
-            entry = trie.direct[i]
-            if not entry & DIRECT_LEAF:
-                patch.frees.extend(self._collect_blocks(entry))
-                patch.frees.append(("nodes", entry, 1))
-        rnode, inherited = descend(
-            self.rib.root, NO_ROUTE, base >> stride, prefix.length
-        )
-        for offset, span, next_hop, subtree in expand(rnode, inherited, stride):
-            at = base + offset
-            if subtree is not None:
-                patch.direct_writes.append(
-                    (at, self._stage_subtree(subtree, next_hop, patch))
-                )
-            elif span == 1:
-                patch.direct_writes.append((at, DIRECT_LEAF | next_hop))
-            else:
-                patch.direct_fills.append((at, span, DIRECT_LEAF | next_hop))
-        patch.toplevel = 1
-
-    def _stage_direct_entry(self, prefix: Prefix, patch: _Patch) -> None:
-        """Stage an update under exactly one direct entry (prefix longer
-        than s)."""
-        trie = self.trie
-        index = prefix.value >> (trie.width - trie.s)
-        entry = trie.direct[index]
-        rnode, inherited = descend(self.rib.root, NO_ROUTE, index, trie.s)
-        ((_, _, effective, subtree),) = expand(rnode, inherited, 0)
-        if entry & DIRECT_LEAF:
-            if subtree is not None:
-                patch.direct_writes.append(
-                    (index, self._stage_subtree(subtree, effective, patch))
-                )
-            else:
-                patch.direct_writes.append((index, DIRECT_LEAF | effective))
-            return
-        if subtree is None:
-            # The subtree collapsed to a single leaf: store the FIB index
-            # directly (the paper's "leaf brought to the upper level" case,
-            # taken all the way to the direct array) and free the subtree
-            # once the new entry is published.
-            patch.frees.extend(self._collect_blocks(entry))
+    The paper replaces the entire 2^s array in this case; rewriting the
+    covered slice has the same observable result and the same accounting
+    (one top-level replacement event).
+    """
+    stride = trie.s - prefix.length
+    base = prefix.value >> (trie.width - trie.s)
+    for i in range(base, base + (1 << stride)):
+        entry = trie.direct[i]
+        if not entry & DIRECT_LEAF:
+            patch.frees.extend(_collect_blocks(trie, entry))
             patch.frees.append(("nodes", entry, 1))
+    rnode, inherited = descend(rib.root, NO_ROUTE, base >> stride, prefix.length)
+    for offset, span, next_hop, subtree in expand(rnode, inherited, stride):
+        at = base + offset
+        if subtree is not None:
+            patch.direct_writes.append(
+                (at, _stage_subtree(trie, subtree, next_hop, patch))
+            )
+        elif span == 1:
+            patch.direct_writes.append((at, DIRECT_LEAF | next_hop))
+        else:
+            patch.direct_fills.append((at, span, DIRECT_LEAF | next_hop))
+    patch.toplevel = 1
+
+
+def _stage_direct_entry(
+    trie: Poptrie, rib: Rib, prefix: Prefix, patch: _Patch
+) -> None:
+    """Stage an update under exactly one direct entry (prefix longer
+    than s)."""
+    index = prefix.value >> (trie.width - trie.s)
+    entry = trie.direct[index]
+    rnode, inherited = descend(rib.root, NO_ROUTE, index, trie.s)
+    ((_, _, effective, subtree),) = expand(rnode, inherited, 0)
+    if entry & DIRECT_LEAF:
+        if subtree is not None:
+            patch.direct_writes.append(
+                (index, _stage_subtree(trie, subtree, effective, patch))
+            )
+        else:
             patch.direct_writes.append((index, DIRECT_LEAF | effective))
-            return
-        self._stage_refine(entry, subtree, inherited, trie.s, prefix, patch)
+        return
+    if subtree is None:
+        # The subtree collapsed to a single leaf: store the FIB index
+        # directly (the paper's "leaf brought to the upper level" case,
+        # taken all the way to the direct array) and free the subtree
+        # once the new entry is published.
+        patch.frees.extend(_collect_blocks(trie, entry))
+        patch.frees.append(("nodes", entry, 1))
+        patch.direct_writes.append((index, DIRECT_LEAF | effective))
+        return
+    _stage_refine(trie, entry, subtree, inherited, trie.s, prefix, patch)
 
-    # -- subtree refinement -------------------------------------------------
 
-    def _stage_refine(
-        self,
-        index: int,
-        rnode,
-        inherited: int,
-        offset: int,
-        prefix: Prefix,
-        patch: _Patch,
-    ) -> None:
-        """Descend while the node's shape is unchanged, then stage a rebuild
-        of the deepest affected subtree in place at ``index``."""
-        trie = self.trie
-        k = trie.k
-        use_leafvec = trie.config.use_leafvec
-        while True:
-            slots = builder.expand_chunk(rnode, inherited, k)
-            shallow = builder.make_shallow(slots, use_leafvec)
-            old_sig = (trie.vec[index], trie.lvec[index] if use_leafvec else 0)
-            if shallow.shallow_signature() != old_sig:
-                break
-            if prefix.length <= offset + k:
-                break
-            v = _chunk_of(prefix, offset, k)
-            if not (trie.vec[index] >> v) & 1:
-                break
-            rank = (trie.vec[index] & ((2 << v) - 1)).bit_count() - 1
-            child_index = trie.base1[index] + rank
-            rnode, inherited = descend(rnode, inherited, v, k)
-            index = child_index
-            offset += k
-        # Stage the in-place replacement: emit the new subtree's descendants
-        # into fresh blocks, keep the root slot, and defer the root write —
-        # the single atomic publication — to the commit phase.
-        patch.frees.extend(self._collect_blocks(index))
-        tmp = builder.expand_node(rnode, inherited, trie.k, trie.config.use_leafvec)
-        serializer = builder.Serializer(trie)
-        fields = serializer.serialize_fields(tmp)
-        patch.node_write = (index, *fields)
-        patch.inodes += serializer.nodes_written
-        patch.leaves += serializer.leaves_written
+# -- subtree refinement -----------------------------------------------------------
 
-    def _collect_blocks(self, index: int) -> List[Tuple[str, int, int]]:
-        """Blocks owned by the subtree at ``index`` (excluding its own slot)."""
-        trie = self.trie
-        blocks: List[Tuple[str, int, int]] = []
-        stack = [index]
-        while stack:
-            at = stack.pop()
-            vector = trie.vec[at]
-            leaf_count = self._leaf_count_of(at)
-            if leaf_count:
-                blocks.append(("leaves", trie.base0[at], leaf_count))
-            child_count = vector.bit_count()
-            if child_count:
-                blocks.append(("nodes", trie.base1[at], child_count))
-                stack.extend(trie.base1[at] + i for i in range(child_count))
-        return blocks
 
-    def _leaf_count_of(self, index: int) -> int:
-        trie = self.trie
-        if trie.config.use_leafvec:
-            return trie.lvec[index].bit_count()
-        return (1 << trie.k) - trie.vec[index].bit_count()
+def _stage_refine(
+    trie: Poptrie,
+    index: int,
+    rnode,
+    inherited: int,
+    offset: int,
+    prefix: Prefix,
+    patch: _Patch,
+) -> None:
+    """Descend while the node's shape is unchanged, then stage a rebuild
+    of the deepest affected subtree in place at ``index``."""
+    k = trie.k
+    use_leafvec = trie.config.use_leafvec
+    while True:
+        slots = builder.expand_chunk(rnode, inherited, k)
+        shallow = builder.make_shallow(slots, use_leafvec)
+        old_sig = (trie.vec[index], trie.lvec[index] if use_leafvec else 0)
+        if shallow.shallow_signature() != old_sig:
+            break
+        if prefix.length <= offset + k:
+            break
+        v = _chunk_of(prefix, offset, k)
+        if not (trie.vec[index] >> v) & 1:
+            break
+        rank = (trie.vec[index] & ((2 << v) - 1)).bit_count() - 1
+        child_index = trie.base1[index] + rank
+        rnode, inherited = descend(rnode, inherited, v, k)
+        index = child_index
+        offset += k
+    # Stage the in-place replacement: emit the new subtree's descendants
+    # into fresh blocks, keep the root slot, and defer the root write —
+    # the single atomic publication — to the commit phase.
+    patch.frees.extend(_collect_blocks(trie, index))
+    tmp = builder.expand_node(rnode, inherited, k, use_leafvec)
+    serializer = builder.Serializer(trie)
+    fields = serializer.serialize_fields(tmp)
+    patch.node_write = (index, *fields)
+    patch.inodes += serializer.nodes_written
+    patch.leaves += serializer.leaves_written
+
+
+def _collect_blocks(trie: Poptrie, index: int) -> List[Tuple[str, int, int]]:
+    """Blocks owned by the subtree at ``index`` (excluding its own slot)."""
+    blocks: List[Tuple[str, int, int]] = []
+    stack = [index]
+    while stack:
+        at = stack.pop()
+        vector = trie.vec[at]
+        leaf_count = _leaf_count_of(trie, at)
+        if leaf_count:
+            blocks.append(("leaves", trie.base0[at], leaf_count))
+        child_count = vector.bit_count()
+        if child_count:
+            blocks.append(("nodes", trie.base1[at], child_count))
+            stack.extend(trie.base1[at] + i for i in range(child_count))
+    return blocks
+
+
+def _leaf_count_of(trie: Poptrie, index: int) -> int:
+    if trie.config.use_leafvec:
+        return trie.lvec[index].bit_count()
+    return (1 << trie.k) - trie.vec[index].bit_count()
 
 
 def _chunk_of(prefix: Prefix, offset: int, k: int) -> int:

@@ -16,10 +16,6 @@ one ``except ReproError`` while still matching precise categories:
                                beyond the recoverable torn tail
 :class:`PoolError`             the shared-memory worker pool lost so many
                                workers it can no longer answer
-:class:`ReplaceCostExceeded`   incremental replacement cost crossed the
-                               configured threshold (internal control flow:
-                               the transactional layer catches it and falls
-                               back to a full rebuild)
 :class:`RestoreRefused`        an allocator restore point cannot be rolled
                                back exactly (a block was freed since it was
                                taken, or it is closed or superseded)
@@ -105,9 +101,9 @@ class UpdateRejectedError(ReproError):
     the configured leaf size — so a bad BGP message can never leave the
     RIB and the compiled trie divergent.
 
-    >>> from repro.core.update import UpdatablePoptrie
+    >>> from repro.robust.txn import TransactionalPoptrie
     >>> from repro.net.prefix import Prefix
-    >>> up = UpdatablePoptrie()
+    >>> up = TransactionalPoptrie()
     >>> up.withdraw(Prefix.parse("10.0.0.0/8"))
     Traceback (most recent call last):
         ...
@@ -252,19 +248,6 @@ class PoolError(ReproError, RuntimeError):
     alive, or use of a pool after :meth:`~repro.parallel.WorkerPool.close`.
     Deriving from ``RuntimeError`` keeps it catchable by generic service
     wrappers.
-    """
-
-
-class ReplaceCostExceeded(ReproError):
-    """An incremental update would replace more nodes than the configured
-    ``rebuild_threshold`` allows.
-
-    Internal control flow for graceful degradation: the transactional layer
-    (:class:`repro.robust.txn.TransactionalPoptrie`) catches it, rolls the
-    partial work back and performs a full ``Poptrie.from_rib`` rebuild
-    instead.  It only ever escapes to callers who set a threshold on a bare
-    :class:`~repro.core.update.UpdatablePoptrie` without the transactional
-    wrapper, which is unsupported.
     """
 
 

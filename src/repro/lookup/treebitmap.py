@@ -121,8 +121,10 @@ class TreeBitmap(LookupStructure):
         """Lay nodes out breadth-first; each node's children contiguous."""
         self._append_node_slots(1)
         queue: List[Tuple[_TmpNode, int]] = [(root, 0)]
-        while queue:
-            tmp, at = queue.pop(0)
+        cursor = 0
+        while cursor < len(queue):
+            tmp, at = queue[cursor]
+            cursor += 1
             child_base = 0
             if tmp.children:
                 child_base = self._append_node_slots(len(tmp.children))

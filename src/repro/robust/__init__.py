@@ -3,10 +3,10 @@ fault injection.
 
 Four pieces, documented in ``docs/ROBUSTNESS.md``:
 
-- :mod:`repro.robust.txn` — :class:`TransactionalPoptrie`, an
-  :class:`~repro.core.update.UpdatablePoptrie` whose updates either commit
-  atomically or roll RIB, trie and buddy-allocator state back, with
-  graceful degradation to a full rebuild;
+- :mod:`repro.robust.txn` — :class:`TransactionalPoptrie`, the Poptrie
+  update engine, whose updates either commit atomically or roll RIB, trie
+  and buddy-allocator state back, with graceful degradation to a full
+  rebuild;
 - :mod:`repro.robust.journal` — :class:`Journal`, the CRC-framed
   write-ahead log of route updates with checkpoint/truncate, and
   :func:`recover`, which rebuilds the durable RIB after a crash

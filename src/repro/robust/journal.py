@@ -67,7 +67,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.data import tableio
 from repro.data.updates import StreamReport, Update, check_message, fold_updates
@@ -195,37 +195,47 @@ def read_segment(path: str, tail_ok: bool = False) -> SegmentInfo:
     if base < 1:
         raise JournalCorrupt(f"{name}: impossible base seqno {base}")
     updates: List[Update] = []
-    offset = _HEADER_BYTES
-    total = len(blob)
-    while offset < total:
-        start = offset
-        if total - offset < _RECORD.size:
-            if tail_ok:
-                return SegmentInfo(path, base, updates, total - start)
-            raise JournalCorrupt(
-                f"{name}: truncated record header at byte {start}"
-            )
-        length, crc = _RECORD.unpack_from(blob, offset)
-        offset += _RECORD.size
-        if not 1 <= length <= MAX_PAYLOAD_BYTES:
-            raise JournalCorrupt(
-                f"{name}: impossible record length {length} at byte {start}"
-            )
-        if total - offset < length:
-            if tail_ok:
-                return SegmentInfo(path, base, updates, total - start)
-            raise JournalCorrupt(
-                f"{name}: truncated record payload at byte {start}"
-            )
-        payload = blob[offset:offset + length]
-        offset += length
-        if zlib.crc32(payload) != crc:
+    end = _HEADER_BYTES
+    for end, payload, intact in _records(blob, _HEADER_BYTES, name):
+        if not intact:
             raise JournalCorrupt(
                 f"{name}: CRC mismatch in record #{len(updates) + 1} "
                 f"(seqno {base + len(updates)})"
             )
         updates.append(decode_update(payload))
-    return SegmentInfo(path, base, updates, 0)
+    torn = len(blob) - end
+    if torn and not tail_ok:
+        part = "header" if torn < _RECORD.size else "payload"
+        raise JournalCorrupt(f"{name}: truncated record {part} at byte {end}")
+    return SegmentInfo(path, base, updates, torn)
+
+
+def _records(
+    blob: bytes, offset: int, name: str, skew: int = 0
+) -> Iterator[Tuple[int, bytes, bool]]:
+    """Walk the ``len | crc | payload`` frames of ``blob`` from ``offset``.
+
+    Yields ``(end, payload, intact)`` for each complete record — ``end``
+    is the offset just past it, ``intact`` whether its CRC matches — and
+    stops at an incomplete trailing record, which the caller either
+    tolerates as a torn tail or refuses.  An impossible length is real
+    damage and raises :class:`JournalCorrupt`; ``skew`` is ``blob``'s
+    offset in the file, so the message names the file's byte.
+    """
+    total = len(blob)
+    while total - offset >= _RECORD.size:
+        length, crc = _RECORD.unpack_from(blob, offset)
+        if not 1 <= length <= MAX_PAYLOAD_BYTES:
+            raise JournalCorrupt(
+                f"{name}: impossible record length {length} at byte "
+                f"{skew + offset}"
+            )
+        end = offset + _RECORD.size + length
+        if end > total:
+            return
+        payload = blob[offset + _RECORD.size:end]
+        yield end, payload, zlib.crc32(payload) == crc
+        offset = end
 
 
 def _scan(directory: str) -> Tuple[List[Tuple[int, str]], List[Tuple[int, str]]]:
@@ -832,21 +842,10 @@ class JournalTailer:
             return 0
         emitted = 0
         offset = 0
-        total = len(blob)
         name = os.path.basename(self._path)
-        while total - offset >= _RECORD.size:
-            if limit is not None and len(out) >= limit:
-                break
-            length, crc = _RECORD.unpack_from(blob, offset)
-            if not 1 <= length <= MAX_PAYLOAD_BYTES:
-                raise JournalCorrupt(
-                    f"{name}: impossible record length {length} at byte "
-                    f"{self._offset + offset}"
-                )
-            if total - offset - _RECORD.size < length:
-                break  # incomplete tail: the writer is mid-append
-            payload = blob[offset + _RECORD.size:offset + _RECORD.size + length]
-            if zlib.crc32(payload) != crc:
+        # An incomplete tail ends the walk: the writer is mid-append.
+        for end, payload, intact in _records(blob, 0, name, self._offset):
+            if not intact:
                 raise JournalCorrupt(
                     f"{name}: CRC mismatch at seqno {self._next}"
                 )
@@ -856,7 +855,9 @@ class JournalTailer:
                 self.position = self._next
                 emitted += 1
             self._next += 1
-            offset += _RECORD.size + length
+            offset = end
+            if limit is not None and len(out) >= limit:
+                break
         self._offset += offset
         return emitted
 

@@ -1,7 +1,8 @@
 """Transactional route updates with rollback and graceful degradation.
 
-:class:`TransactionalPoptrie` wraps the incremental update engine of
-:class:`~repro.core.update.UpdatablePoptrie` in per-update transactions:
+:class:`TransactionalPoptrie` is the one engine that applies §3.5's
+incremental updates (the surgery in :mod:`repro.core.update`), each in its
+own transaction:
 
 - **Check first.**  Every update passes
   :func:`repro.data.updates.check_update`: malformed ones (unknown kind,
@@ -18,7 +19,7 @@
   each buddy allocator and saves the logical counters before the update.
   If staging raises, each allocator frees the blocks its point logged
   and the counters are reinstated; the RIB mutation is undone by its
-  recorded inverse.  Because staging never writes anything a reader can
+  undo log.  Because staging never writes anything a reader can
   see, this restores the *complete* pre-update state — trie, RIB and
   allocators — at a cost proportional to the update, not the table.
 - **Graceful degradation.**  After a failed incremental update — or when
@@ -41,15 +42,15 @@ publishes it through this engine (``Poptrie._stage``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Tuple
 
 from repro.core.poptrie import Poptrie, PoptrieConfig
-from repro.core.update import UpdatablePoptrie
+from repro.core.update import UpdateStats, _publish_update_obs, commit, stage
 from repro.data.updates import (
     StreamReport, Update, check_update, fold_updates, unfold_updates,
 )
-from repro.errors import ReplaceCostExceeded, ReproError, UpdateRejectedError
+from repro.errors import ReproError, UpdateRejectedError
 from repro.mem.buddy import OutOfMemory
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
@@ -84,30 +85,28 @@ def _count_txn(outcome: str) -> None:
 
 
 class Transaction:
-    """A restore point for one update against an UpdatablePoptrie.
+    """A restore point for one update against a trie and its RIB.
 
     Captures everything the staging phase can disturb: a restore point on
     each buddy allocator (which logs the allocations staging makes), the
-    trie's logical node/leaf counters, the generation counter and the
-    update statistics.  Inverse RIB operations are appended to
-    ``rib_undo`` by the caller as it mutates the RIB.  ``rollback``
-    reinstates all of it; because staging publishes nothing, readers
-    never notice that the update was ever attempted.  The caller calls
-    ``close`` on every exit — commit, rollback and degrade — so an
-    allocation log never outlives its update.
+    trie's logical node/leaf counters, and ``rib_undo``, the undo log
+    :func:`~repro.data.updates.fold_updates` returns for the RIB mutation.
+    ``rollback`` reinstates all of it; because staging publishes nothing,
+    readers never notice that the update was ever attempted.  Update
+    statistics and the generation counter need no saving: only a commit,
+    after the last fault point, touches them.  The caller calls ``close``
+    on every exit — commit, rollback and degrade — so an allocation log
+    never outlives its update.
     """
 
-    def __init__(self, up: UpdatablePoptrie) -> None:
-        trie = up.trie
-        self.up = up
+    def __init__(self, trie: Poptrie, rib: Rib) -> None:
         self.trie = trie
+        self.rib = rib
         self.node_point = trie.node_alloc.snapshot()
         self.leaf_point = trie.leaf_alloc.snapshot()
         self.inode_count = trie.inode_count
         self.leaf_count = trie.leaf_count
-        self.generation = up.generation
-        self.stats = replace(up.stats)
-        self.rib_undo: List = []
+        self.rib_undo: List[Tuple[Prefix, int]] = []
 
     def rollback(self) -> None:
         trie = self.trie
@@ -115,11 +114,8 @@ class Transaction:
         trie.leaf_alloc.restore(self.leaf_point)
         trie.inode_count = self.inode_count
         trie.leaf_count = self.leaf_count
-        self.up.generation = self.generation
-        self.up.stats = self.stats
-        for undo in reversed(self.rib_undo):
-            undo()
-        self.rib_undo.clear()
+        unfold_updates(self.rib, self.rib_undo)
+        self.rib_undo = []
 
     def close(self) -> None:
         """Close both restore points; points ``rollback`` already closed
@@ -128,8 +124,15 @@ class Transaction:
         self.trie.leaf_alloc.close(self.leaf_point)
 
 
-class TransactionalPoptrie(UpdatablePoptrie):
-    """An :class:`UpdatablePoptrie` whose updates commit or roll back.
+class TransactionalPoptrie:
+    """A Poptrie kept in sync with its RIB by incremental updates that
+    commit or roll back.
+
+    Each update is checked, folded into the RIB, staged on the side and
+    published by :func:`repro.core.update.commit` (§3.5).  ``trie`` adopts
+    an already-compiled Poptrie instead of recompiling — the caller
+    guarantees it agrees with ``rib`` (a registry Poptrie's ``_stage``
+    wraps the live served structure this way, so updates land in place).
 
     ``rebuild_threshold`` bounds the incremental replacement cost: an
     update that would replace more internal nodes is serviced by a full
@@ -140,10 +143,14 @@ class TransactionalPoptrie(UpdatablePoptrie):
 
     >>> up = TransactionalPoptrie()
     >>> up.announce(Prefix.parse("10.0.0.0/8"), 1)
-    >>> up.lookup(Prefix.parse("10.9.9.9/32").value)
+    >>> up.announce(Prefix.parse("10.64.0.0/10"), 2)
+    >>> up.lookup(Prefix.parse("10.64.1.1/32").value)
+    2
+    >>> up.withdraw(Prefix.parse("10.64.0.0/10"))
+    >>> up.lookup(Prefix.parse("10.64.1.1/32").value)
     1
     >>> up.txn_stats.commits
-    1
+    3
     """
 
     def __init__(
@@ -155,54 +162,81 @@ class TransactionalPoptrie(UpdatablePoptrie):
         fallback_rebuild: bool = True,
         trie: Optional[Poptrie] = None,
     ) -> None:
-        super().__init__(config, width, rib, trie=trie)
+        self.rib = rib if rib is not None else Rib(width=width)
+        self.trie = trie if trie is not None else Poptrie.from_rib(self.rib, config)
+        self.stats = UpdateStats()
+        #: Incremented once per committed update; a reader observing the same
+        #: generation before and after a lookup saw a consistent structure.
+        self.generation = 0
         self.rebuild_threshold = rebuild_threshold
         self.fallback_rebuild = fallback_rebuild
         self.txn_stats = TxnStats()
 
+    def lookup(self, key: int) -> int:
+        return self.trie.lookup(key)
+
+    @property
+    def fib_limit(self) -> int:
+        """The largest next-hop index the trie's leaves encode."""
+        return self.trie.fib_limit
+
     # -- transactional announce/withdraw -------------------------------------
 
     def announce(self, prefix: Prefix, fib_index: int) -> None:
+        """Insert or replace a route and incrementally update the FIB.
+
+        Raises :class:`~repro.errors.UpdateRejectedError` — before any
+        state is mutated — when :func:`~repro.data.updates.check_update`
+        refuses the update (say, a next hop beyond :attr:`fib_limit`).
+        """
         self._transact(Update("A", prefix, fib_index))
 
     def withdraw(self, prefix: Prefix) -> None:
+        """Remove a route and incrementally update the FIB.
+
+        Raises :class:`~repro.errors.UpdateRejectedError` — before any
+        state is mutated — when the prefix is not in the RIB.
+        """
         self._transact(Update("W", prefix))
 
     def _transact(self, update: Update) -> None:
+        stats = self.txn_stats
         try:
             check_update(update, self.rib, self.fib_limit)
         except UpdateRejectedError:
-            self.txn_stats.rejected += 1
+            stats.rejected += 1
             _count_txn("rejected")
             raise
-        txn = Transaction(self)
+        txn = Transaction(self.trie, self.rib)
         try:
-            undo = fold_updates(self.rib, [update])
-            txn.rib_undo.append(lambda: unfold_updates(self.rib, undo))
-            if update.kind == "A" and undo[0][1] == update.nexthop:
-                self.txn_stats.commits += 1  # no structural work needed
-                _count_txn("commit")
-                return
-            self._apply(update.prefix)
-        except ReplaceCostExceeded:
-            txn.rollback()
-            self.txn_stats.threshold_rebuilds += 1
-            _count_txn("threshold_rebuild")
-            self._rebuild(update)
+            txn.rib_undo = fold_updates(self.rib, [update])
+            if update.kind == "A" and txn.rib_undo[0][1] == update.nexthop:
+                patch = None  # the same route again: no structural work
+            else:
+                patch = stage(self.trie, self.rib, update.prefix)
         except Exception:
             txn.rollback()
-            self.txn_stats.rollbacks += 1
+            stats.rollbacks += 1
             _count_txn("rollback")
             if not self.fallback_rebuild:
                 raise
-            self.txn_stats.fallback_rebuilds += 1
+            stats.fallback_rebuilds += 1
             _count_txn("fallback_rebuild")
-            self._rebuild(update)
         else:
-            self.txn_stats.commits += 1
-            _count_txn("commit")
+            threshold = self.rebuild_threshold
+            if patch is None or threshold is None or patch.inodes <= threshold:
+                if patch is not None:
+                    commit(self.trie, patch, self.stats)
+                    self.generation += 1
+                stats.commits += 1
+                _count_txn("commit")
+                return
+            txn.rollback()
+            stats.threshold_rebuilds += 1
+            _count_txn("threshold_rebuild")
         finally:
             txn.close()
+        self._rebuild(update)
 
     def _rebuild(self, update: Update) -> None:
         """Degraded path: service the update with a full compile.
@@ -226,7 +260,7 @@ class TransactionalPoptrie(UpdatablePoptrie):
         self.trie = rebuilt  # single-reference swap: readers see old or new
         self.stats.updates += 1
         self.generation += 1
-        self._publish_update_obs(0, 0, 0, engine="rebuild")
+        _publish_update_obs(0, 0, 0, engine="rebuild")
 
     # -- stream replay --------------------------------------------------------
 

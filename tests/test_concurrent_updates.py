@@ -19,7 +19,6 @@ import threading
 import pytest
 
 from repro.core.poptrie import PoptrieConfig
-from repro.core.update import UpdatablePoptrie
 from repro.errors import InjectedFault
 from repro.net.prefix import Prefix
 from repro.robust.faults import FaultPlan
@@ -28,7 +27,7 @@ from repro.robust.txn import TransactionalPoptrie
 
 @pytest.mark.parametrize("s", [0, 16])
 def test_reader_never_sees_torn_state(s):
-    up = UpdatablePoptrie(PoptrieConfig(s=s))
+    up = TransactionalPoptrie(PoptrieConfig(s=s))
     rng = random.Random(77)
 
     # Seed table.

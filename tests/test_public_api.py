@@ -18,7 +18,7 @@ GUIDANCE = (
 
 EXPECTED_TOP_LEVEL = {
     # the algorithm & its configuration
-    "Poptrie", "PoptrieConfig", "UpdatablePoptrie", "TransactionalPoptrie",
+    "Poptrie", "PoptrieConfig", "TransactionalPoptrie",
     # the uniform lookup surface
     "LookupStructure", "registry",
     # observability

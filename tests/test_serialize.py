@@ -14,7 +14,6 @@ import pytest
 from tests.conftest import make_random_rib, random_keys
 
 from repro.core.poptrie import Poptrie, PoptrieConfig, validate
-from repro.core.update import UpdatablePoptrie
 from repro.errors import ReproError, SnapshotFormatError
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
@@ -25,6 +24,7 @@ from repro.parallel.image import (
     structure_from_bytes,
     structure_to_bytes,
 )
+from repro.robust.txn import TransactionalPoptrie
 
 
 def _round_trip(trie: Poptrie) -> Poptrie:
@@ -74,7 +74,7 @@ def test_empty_tables():
 
 def test_fragmented_trie_compacts():
     """A heavily updated trie snapshots into a tight layout."""
-    up = UpdatablePoptrie(PoptrieConfig(s=12))
+    up = TransactionalPoptrie(PoptrieConfig(s=12))
     rng = random.Random(4)
     live = []
     for _ in range(600):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -449,26 +448,6 @@ class TestLoadGenerator:
         assert summary["throughput_klps"] == pytest.approx(0.032)
         assert "p999" in summary["latency_us"]
         assert "1 swap(s) observed" in report.render(batch=16)
-
-
-def test_server_scenario_smoke():
-    """The bench scenario end-to-end, tiny: the BENCH_server.json shape."""
-    from repro.bench.server_scenario import run_server_bench
-
-    t0 = time.perf_counter()
-    result = run_server_bench(
-        routes=2000, duration=0.4, rate=800.0, connections=2, batch=8,
-        seed=5,
-    )
-    assert result["scenario"] == "server_throughput"
-    assert result["errors"] == 0
-    assert result["loadgen"]["mismatched"] == 0
-    assert result["swap_generation"] == 1
-    assert result["throughput_rps"] > 0
-    assert {"mean", "p50", "p90", "p99", "p999"} <= set(
-        result["latency_us"]
-    )
-    assert time.perf_counter() - t0 < 30
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,13 @@ import pytest
 from tests.conftest import random_keys
 
 from repro.core.poptrie import Poptrie, PoptrieConfig
-from repro.core.update import UpdatablePoptrie
 from repro.errors import UpdateRejectedError
 from repro.net.prefix import Prefix
 from repro.net.values import NO_ROUTE
+from repro.robust.txn import TransactionalPoptrie
 
 
-def equivalent_to_rebuild(up: UpdatablePoptrie) -> bool:
+def equivalent_to_rebuild(up: TransactionalPoptrie) -> bool:
     """Structure-level equivalence with a from-scratch compilation."""
     rebuilt = Poptrie.from_rib(up.rib, up.trie.config)
     return (
@@ -24,33 +24,33 @@ def equivalent_to_rebuild(up: UpdatablePoptrie) -> bool:
 
 class TestBasicUpdates:
     def test_announce_then_lookup(self):
-        up = UpdatablePoptrie(PoptrieConfig(s=16))
+        up = TransactionalPoptrie(PoptrieConfig(s=16))
         up.announce(Prefix.parse("10.0.0.0/8"), 1)
         assert up.lookup(Prefix.parse("10.1.1.1/32").value) == 1
 
     def test_withdraw_restores_covering_route(self):
-        up = UpdatablePoptrie(PoptrieConfig(s=16))
+        up = TransactionalPoptrie(PoptrieConfig(s=16))
         up.announce(Prefix.parse("10.0.0.0/8"), 1)
         up.announce(Prefix.parse("10.64.0.0/10"), 2)
         up.withdraw(Prefix.parse("10.64.0.0/10"))
         assert up.lookup(Prefix.parse("10.64.1.1/32").value) == 1
 
     def test_withdraw_to_empty(self):
-        up = UpdatablePoptrie(PoptrieConfig(s=16))
+        up = TransactionalPoptrie(PoptrieConfig(s=16))
         p = Prefix.parse("10.0.0.0/8")
         up.announce(p, 1)
         up.withdraw(p)
         assert up.lookup(Prefix.parse("10.0.0.1/32").value) == NO_ROUTE
 
     def test_reannounce_changes_nexthop(self):
-        up = UpdatablePoptrie(PoptrieConfig(s=16))
+        up = TransactionalPoptrie(PoptrieConfig(s=16))
         p = Prefix.parse("192.0.2.0/24")
         up.announce(p, 1)
         up.announce(p, 2)
         assert up.lookup(Prefix.parse("192.0.2.9/32").value) == 2
 
     def test_reannounce_same_nexthop_is_noop(self):
-        up = UpdatablePoptrie(PoptrieConfig(s=16))
+        up = TransactionalPoptrie(PoptrieConfig(s=16))
         p = Prefix.parse("192.0.2.0/24")
         up.announce(p, 1)
         generation = up.generation
@@ -58,7 +58,7 @@ class TestBasicUpdates:
         assert up.generation == generation  # no structural work done
 
     def test_generation_increments(self):
-        up = UpdatablePoptrie(PoptrieConfig(s=16))
+        up = TransactionalPoptrie(PoptrieConfig(s=16))
         up.announce(Prefix.parse("10.0.0.0/8"), 1)
         up.announce(Prefix.parse("10.0.0.0/24"), 2)
         assert up.generation == 2
@@ -66,7 +66,7 @@ class TestBasicUpdates:
     def test_withdraw_missing_raises(self):
         # Regression: this used to escape as an untyped KeyError from the
         # RIB internals; it is now a typed rejection raised up front.
-        up = UpdatablePoptrie(PoptrieConfig(s=16))
+        up = TransactionalPoptrie(PoptrieConfig(s=16))
         with pytest.raises(UpdateRejectedError):
             up.withdraw(Prefix.parse("10.0.0.0/8"))
 
@@ -95,7 +95,7 @@ class TestUpdateValidation:
 
     @pytest.fixture
     def up(self):
-        up = UpdatablePoptrie(PoptrieConfig(s=16))
+        up = TransactionalPoptrie(PoptrieConfig(s=16))
         up.announce(Prefix.parse("10.0.0.0/8"), 1)
         up.announce(Prefix.parse("10.32.0.0/11"), 2)
         return up
@@ -121,20 +121,20 @@ class TestUpdateValidation:
             up.withdraw(Prefix.parse("2001:db8::/32"))
 
     def test_32bit_leaves_accept_wide_nexthop(self):
-        up = UpdatablePoptrie(PoptrieConfig(s=16, leaf_bits=32))
+        up = TransactionalPoptrie(PoptrieConfig(s=16, leaf_bits=32))
         up.announce(Prefix.parse("10.0.0.0/8"), 1 << 20)
         assert up.lookup(Prefix.parse("10.1.1.1/32").value) == 1 << 20
 
 
 class TestTopLevelPaths:
     def test_short_prefix_rewrites_direct_range(self):
-        up = UpdatablePoptrie(PoptrieConfig(s=16))
+        up = TransactionalPoptrie(PoptrieConfig(s=16))
         up.announce(Prefix.parse("10.0.0.0/8"), 3)
         assert up.stats.toplevel_replacements == 1
         assert up.lookup(Prefix.parse("10.200.0.1/32").value) == 3
 
     def test_long_prefix_under_leaf_entry_converts_it(self):
-        up = UpdatablePoptrie(PoptrieConfig(s=16))
+        up = TransactionalPoptrie(PoptrieConfig(s=16))
         up.announce(Prefix.parse("10.0.0.0/8"), 1)
         up.announce(Prefix.parse("10.0.0.0/24"), 2)  # entry leaf -> subtree
         assert up.lookup(Prefix.parse("10.0.0.1/32").value) == 2
@@ -143,7 +143,7 @@ class TestTopLevelPaths:
     def test_subtree_collapses_back_to_leaf_entry(self):
         """Section 3.5: nodes reduced to a single covering leaf are removed
         and the leaf is brought to the upper level."""
-        up = UpdatablePoptrie(PoptrieConfig(s=16))
+        up = TransactionalPoptrie(PoptrieConfig(s=16))
         up.announce(Prefix.parse("10.0.0.0/8"), 1)
         up.announce(Prefix.parse("10.0.0.0/24"), 2)
         nodes_with_subtree = up.trie.inode_count
@@ -154,7 +154,7 @@ class TestTopLevelPaths:
         assert up.trie.direct[0x0A00] & DIRECT_LEAF
 
     def test_default_route_update(self):
-        up = UpdatablePoptrie(PoptrieConfig(s=16))
+        up = TransactionalPoptrie(PoptrieConfig(s=16))
         up.announce(Prefix.parse("0.0.0.0/0"), 7)
         assert up.lookup(Prefix.parse("203.0.113.1/32").value) == 7
         up.withdraw(Prefix.parse("0.0.0.0/0"))
@@ -163,7 +163,7 @@ class TestTopLevelPaths:
 
 class TestNoDirectPointing:
     def test_updates_with_s0(self):
-        up = UpdatablePoptrie(PoptrieConfig(s=0))
+        up = TransactionalPoptrie(PoptrieConfig(s=0))
         up.announce(Prefix.parse("10.0.0.0/8"), 1)
         up.announce(Prefix.parse("10.0.0.0/26"), 2)
         assert up.lookup(Prefix.parse("10.0.0.1/32").value) == 2
@@ -174,7 +174,7 @@ class TestNoDirectPointing:
 
 class TestStats:
     def test_replacement_counters_accumulate(self):
-        up = UpdatablePoptrie(PoptrieConfig(s=16))
+        up = TransactionalPoptrie(PoptrieConfig(s=16))
         up.announce(Prefix.parse("10.0.0.0/24"), 1)
         up.announce(Prefix.parse("10.0.0.128/25"), 2)
         stats = up.stats
@@ -183,7 +183,7 @@ class TestStats:
         assert stats.leaves_replaced > 0
 
     def test_per_update_rates(self):
-        up = UpdatablePoptrie(PoptrieConfig(s=16))
+        up = TransactionalPoptrie(PoptrieConfig(s=16))
         up.announce(Prefix.parse("10.0.0.0/24"), 1)
         top, leaves, inodes = up.stats.per_update()
         assert top <= 1.0 and leaves >= 0 and inodes >= 0
@@ -194,7 +194,7 @@ def test_randomized_update_sequences_match_rebuild(s):
     """Invariant 4: after any update sequence the structure is lookup- and
     node-count-equivalent to a fresh compilation of the same RIB."""
     rng = random.Random(s * 1000 + 7)
-    up = UpdatablePoptrie(PoptrieConfig(s=s))
+    up = TransactionalPoptrie(PoptrieConfig(s=s))
     live = []
     for step in range(400):
         if live and rng.random() < 0.4:
@@ -217,7 +217,7 @@ def test_randomized_update_sequences_match_rebuild(s):
 
 def test_update_memory_is_reclaimed():
     """Announce/withdraw cycles must not leak allocator slots."""
-    up = UpdatablePoptrie(PoptrieConfig(s=16))
+    up = TransactionalPoptrie(PoptrieConfig(s=16))
     up.announce(Prefix.parse("10.0.0.0/8"), 1)
     baseline = up.trie.node_alloc.used_slots
     for i in range(50):
@@ -231,7 +231,7 @@ def test_lock_free_shape_builds_before_swap(monkeypatch):
     """The update builds replacement blocks before touching the published
     entry: until the direct-array write happens, readers must see the old
     answer.  We verify by checking the lookup result is never 'half new'."""
-    up = UpdatablePoptrie(PoptrieConfig(s=16))
+    up = TransactionalPoptrie(PoptrieConfig(s=16))
     up.announce(Prefix.parse("10.0.0.0/8"), 1)
     key = Prefix.parse("10.0.0.1/32").value
 

@@ -1,8 +1,10 @@
 """Hypothesis stateful testing of the incremental update engine.
 
 A rule-based state machine drives arbitrary interleavings of announce,
-re-announce, withdraw and lookup against an :class:`UpdatablePoptrie`,
-with the RIB as the oracle.  Hypothesis explores and *shrinks* operation
+re-announce, withdraw and lookup against a :class:`TransactionalPoptrie`,
+with the RIB as the oracle; announcements under a one-shot allocation
+fault check that a failed update rolls back (or degrades to a rebuild)
+without the RIB and the trie drifting apart.  Hypothesis explores and *shrinks* operation
 sequences, so a failure here comes with a minimal reproducing script —
 much stronger than the fixed-seed fuzzing elsewhere in the suite.
 """
@@ -18,8 +20,11 @@ from hypothesis.stateful import (
 )
 
 from repro.core.poptrie import Poptrie, PoptrieConfig
-from repro.core.update import UpdatablePoptrie
+from repro.errors import InjectedFault
 from repro.net.prefix import Prefix
+from repro.net.values import NO_ROUTE
+from repro.robust.faults import FaultPlan
+from repro.robust.txn import TransactionalPoptrie
 
 prefix_values = st.tuples(
     st.integers(min_value=0, max_value=(1 << 32) - 1),
@@ -36,9 +41,9 @@ def to_prefix(raw):
 
 
 class UpdateMachine(RuleBasedStateMachine):
-    @initialize(s=st.sampled_from([0, 10, 16]))
-    def setup(self, s):
-        self.up = UpdatablePoptrie(PoptrieConfig(s=s))
+    @initialize(s=st.sampled_from([0, 10, 16]), fallback=st.booleans())
+    def setup(self, s, fallback):
+        self.up = TransactionalPoptrie(PoptrieConfig(s=s), fallback_rebuild=fallback)
         self.live = {}
 
     @rule(raw=prefix_values, hop=st.integers(min_value=1, max_value=40))
@@ -46,6 +51,23 @@ class UpdateMachine(RuleBasedStateMachine):
         prefix = to_prefix(raw)
         self.up.announce(prefix, hop)
         self.live[prefix] = hop
+
+    @rule(raw=prefix_values, hop=st.integers(min_value=1, max_value=40),
+          fail_at=st.integers(min_value=1, max_value=4))
+    def announce_under_fault(self, raw, hop, fail_at):
+        prefix = to_prefix(raw)
+        rollbacks = self.up.txn_stats.rollbacks
+        try:
+            with FaultPlan(alloc_fail_at=fail_at):
+                self.up.announce(prefix, hop)
+        except InjectedFault:
+            # Rolled back, not degraded: the RIB still holds the old route.
+            assert not self.up.fallback_rebuild
+            assert self.up.txn_stats.rollbacks == rollbacks + 1
+        else:
+            self.live[prefix] = hop
+        assert self.up.rib.get(prefix) == self.live.get(prefix, NO_ROUTE)
+        assert len(self.up.rib) == len(self.live)
 
     @precondition(lambda self: self.live)
     @rule(pick=st.randoms(use_true_random=False),
@@ -82,6 +104,7 @@ class UpdateMachine(RuleBasedStateMachine):
         assert rebuilt.leaf_count == self.up.trie.leaf_count
         self.up.trie.node_alloc.check_invariants()
         self.up.trie.leaf_alloc.check_invariants()
+        self.up.trie.verify(self.up.rib)
 
 
 TestUpdateStateMachine = UpdateMachine.TestCase
