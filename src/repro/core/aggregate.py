@@ -6,8 +6,8 @@ gap, into the single prefix representing the whole subtree", and notes the
 optimisation is applicable to any lookup structure.  Unless stated
 otherwise the paper's Poptrie numbers include it (Table 2's bottom block).
 
-Aggregation operates on the route *ids* in the RIB's nodes and never
-inspects payloads, so it applies unchanged to any value plane (next-hop
+Aggregation operates on the route *ids* in the RIB's ``route`` column and
+never inspects payloads, so it applies unchanged to any value plane (next-hop
 indices, GeoIP country ids, ACL classes — see docs/VALUES.md): what it
 exploits is purely the entropy of the value column (Rétvári et al.,
 arXiv:1402.1194).
@@ -39,36 +39,38 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.net.prefix import Prefix
-from repro.net.rib import Rib, RibNode
+from repro.net.rib import ROOT, Rib
 from repro.net.values import NO_ROUTE
 
 #: Summary sentinel: the subtree maps addresses to ≥ 2 distinct next hops.
 _MIXED = -1
 #: Summary sentinel: the subtree maps every address to "no route".
 _EMPTY = -2
+#: The summary of a missing subtree.
+_GAP = (_EMPTY, True)
 
 
-def _summarise(node: Optional[RibNode], summaries: Dict[int, Tuple[int, bool]]):
-    """Post-order summary of each subtree as ``(value, has_gap)``.
+def _summarise(rib: Rib, node: int, summaries: Dict[int, Tuple[int, bool]]):
+    """Post-order summary of each subtree as ``(value, has_gap)``, keyed
+    by node id; a missing child summarises as ``_GAP``.
 
     ``value`` is the unique next hop the covered part of the subtree maps
     to, ``_MIXED`` when there are at least two, or ``_EMPTY`` when nothing
     is covered.  ``has_gap`` records whether some addresses are uncovered.
     """
-    if node is None:
-        return _EMPTY, True
-    left = _summarise(node.left, summaries)
-    right = _summarise(node.right, summaries)
+    left = _summarise(rib, rib.left[node], summaries) if rib.left[node] else _GAP
+    right = _summarise(rib, rib.right[node], summaries) if rib.right[node] else _GAP
     value, has_gap = _combine(left, right)
-    if node.route != NO_ROUTE:
+    route = rib.route[node]
+    if route != NO_ROUTE:
         # The node's own route fills the gaps below it.
         if value == _EMPTY:
-            value, has_gap = node.route, False
+            value, has_gap = route, False
         elif has_gap:
-            value = node.route if value == node.route else _MIXED
+            value = route if value == route else _MIXED
             has_gap = False
     summary = (value, has_gap)
-    summaries[id(node)] = summary
+    summaries[node] = summary
     return summary
 
 
@@ -96,14 +98,13 @@ def _emit_routes(rib: Rib, span: int) -> List[Tuple[Prefix, int]]:
     larger spans trade route count for stride alignment.
     """
     summaries: Dict[int, Tuple[int, bool]] = {}
-    _summarise(rib.root, summaries)
+    _summarise(rib, ROOT, summaries)
     routes: List[Tuple[Prefix, int]] = []
+    left, right, route = rib.left, rib.right, rib.route
 
-    def emit(node: Optional[RibNode], value: int, length: int, inherited: int):
-        if node is None:
-            return
-        summary_value, has_gap = summaries[id(node)]
-        effective = node.route if node.route != NO_ROUTE else inherited
+    def emit(node: int, value: int, length: int, inherited: int):
+        summary_value, has_gap = summaries[node]
+        effective = route[node] if route[node] != NO_ROUTE else inherited
         # Does the whole subtree collapse to one value, given what is
         # inherited from above fills any remaining gaps?
         collapsed: Optional[int] = None
@@ -113,18 +114,21 @@ def _emit_routes(rib: Rib, span: int) -> List[Tuple[Prefix, int]]:
             collapsed = summary_value
         elif summary_value != _MIXED and has_gap and summary_value == effective:
             collapsed = summary_value
-        if collapsed is not None and (length % span == 0 or node.is_leaf()):
+        is_leaf = not (left[node] or right[node])
+        if collapsed is not None and (length % span == 0 or is_leaf):
             if collapsed != inherited and collapsed != NO_ROUTE:
                 routes.append((Prefix(value, length, rib.width), collapsed))
             return
-        if node.route != NO_ROUTE and node.route != inherited:
-            routes.append((Prefix(value, length, rib.width), node.route))
-            inherited = node.route
+        if route[node] != NO_ROUTE and route[node] != inherited:
+            routes.append((Prefix(value, length, rib.width), route[node]))
+            inherited = route[node]
         bit = 1 << (rib.width - length - 1)
-        emit(node.left, value, length + 1, inherited)
-        emit(node.right, value | bit, length + 1, inherited)
+        if left[node]:
+            emit(left[node], value, length + 1, inherited)
+        if right[node]:
+            emit(right[node], value | bit, length + 1, inherited)
 
-    emit(rib.root, 0, 0, NO_ROUTE)
+    emit(ROOT, 0, 0, NO_ROUTE)
     return routes
 
 
@@ -192,17 +196,16 @@ def aggregate_ortc(rib: Rib) -> List[Tuple[Prefix, int]]:
 
     # Copy the RIB into a mutable trie, then normalise so every node has
     # zero or two children (ORTC's passes assume a full binary trie).
-    def copy(node: Optional[RibNode]) -> Optional[_N]:
-        if node is None:
-            return None
+    def copy(node: int) -> _N:
         out = _N()
-        out.route = node.route
-        out.left = copy(node.left)
-        out.right = copy(node.right)
+        out.route = rib.route[node]
+        if rib.left[node]:
+            out.left = copy(rib.left[node])
+        if rib.right[node]:
+            out.right = copy(rib.right[node])
         return out
 
-    root = copy(rib.root)
-    assert root is not None
+    root = copy(ROOT)
     if root.route == NO_ROUTE:
         root.route = NO_ROUTE  # the implicit "no route" default
 

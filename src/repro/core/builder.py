@@ -4,8 +4,8 @@ The build runs in two phases, mirroring what the paper's C implementation
 does in one pass but keeping the logic testable in isolation:
 
 1. **Expansion** (:func:`expand_node`): controlled prefix expansion of the
-   binary radix tree (:func:`repro.net.rib.expand`, one k-bit chunk at a
-   time) into temporary 2^k-ary nodes.  Each temporary node
+   binary radix tree (:meth:`repro.net.rib.Rib.expand`, one k-bit chunk
+   at a time) into temporary 2^k-ary nodes.  Each temporary node
    records its ``vector`` (bit v set ⇔ slot v has a descendant internal
    node, Section 3.1), its ``leafvec`` and compressed leaf list
    (Section 3.3), and its child list.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, Union
 
-from repro.net.rib import RibNode, expand
+from repro.net.rib import Rib
 from repro.robust.faults import fault_point
 
 
@@ -53,16 +53,18 @@ class TmpNode:
 
 
 #: A slot of an expanded chunk: either a leaf FIB index (int) or a pending
-#: internal node (radix node to expand further + its inherited FIB index).
+#: internal node (the RIB node id to expand further + its inherited FIB
+#: index).
 Slot = Union[int, tuple]
 
 
 def expand_chunk(
-    node: Optional[RibNode], inherited: int, k: int
+    rib: Rib, node: Optional[int], inherited: int, k: int
 ) -> List[Slot]:
-    """Expand one k-bit chunk of the radix tree into 2^k slots."""
+    """Expand one k-bit chunk of ``rib`` below node ``node`` into 2^k
+    slots."""
     slots: List[Slot] = []
-    for _, span, next_hop, subtree in expand(node, inherited, k):
+    for _, span, next_hop, subtree in rib.expand(node, inherited, k):
         if subtree is not None:
             slots.append((subtree, next_hop))
         elif span == 1:
@@ -74,7 +76,7 @@ def expand_chunk(
 
 def make_shallow(slots: List[Slot], use_leafvec: bool) -> TmpNode:
     """Build one TmpNode from expanded slots, without recursing into
-    children (children are left as ``(radix_node, inherited)`` markers in
+    children (children are left as ``(rib_node_id, inherited)`` markers in
     ``tmp.children`` order-preserving positions for the caller to expand)."""
     tmp = TmpNode()
     pending: List[tuple] = []
@@ -99,17 +101,19 @@ def make_shallow(slots: List[Slot], use_leafvec: bool) -> TmpNode:
 
 
 def expand_node(
-    node: Optional[RibNode], inherited: int, k: int, use_leafvec: bool
+    rib: Rib, node: Optional[int], inherited: int, k: int, use_leafvec: bool
 ) -> TmpNode:
-    """Recursively expand the radix subtree at ``node`` into a TmpNode tree.
+    """Recursively expand ``rib``'s subtree at node ``node`` into a
+    TmpNode tree.
 
     ``inherited`` is the FIB index of the longest prefix already matched on
-    the way down to ``node`` (including ``node.route`` itself when set).
+    the way down to ``node`` (``node``'s own route is folded in by the
+    expansion).
     """
-    slots = expand_chunk(node, inherited, k)
+    slots = expand_chunk(rib, node, inherited, k)
     tmp = make_shallow(slots, use_leafvec)
     tmp.children = [
-        expand_node(child, child_inherited, k, use_leafvec)
+        expand_node(rib, child, child_inherited, k, use_leafvec)
         for child, child_inherited in tmp.children  # type: ignore[misc]
     ]
     return tmp

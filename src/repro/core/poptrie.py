@@ -34,7 +34,7 @@ from repro.lookup.base import (
 from repro.lookup.registry import register
 from repro.mem.buddy import BuddyAllocator
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.rib import Rib, expand
+from repro.net.rib import ROOT, Rib
 from repro.net.values import NO_ROUTE
 from repro.obs.tracing import span
 
@@ -176,7 +176,7 @@ class Poptrie(LookupStructure):
             )
             if config.s == 0:
                 tmp = builder.expand_node(
-                    rib.root, NO_ROUTE, config.k, config.use_leafvec
+                    rib, ROOT, NO_ROUTE, config.k, config.use_leafvec
                 )
                 trie.root_index = builder.Serializer(trie).serialize(tmp)
             else:
@@ -194,10 +194,10 @@ class Poptrie(LookupStructure):
         address ranges with tagged FIB indices where it does not."""
         serializer = builder.Serializer(self)
         direct = self.direct
-        for base, count, next_hop, subtree in expand(rib.root, NO_ROUTE, self.s):
+        for base, count, next_hop, subtree in rib.expand(ROOT, NO_ROUTE, self.s):
             if subtree is not None:
                 tmp = builder.expand_node(
-                    subtree, next_hop, self.k, self.config.use_leafvec
+                    rib, subtree, next_hop, self.k, self.config.use_leafvec
                 )
                 direct[base] = serializer.serialize(tmp)
             elif count == 1:

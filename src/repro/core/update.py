@@ -40,7 +40,7 @@ from typing import List, Optional, Tuple
 from repro.core import builder
 from repro.core.poptrie import DIRECT_LEAF, Poptrie
 from repro.net.prefix import Prefix
-from repro.net.rib import Rib, descend, expand
+from repro.net.rib import ROOT, Rib
 from repro.net.values import NO_ROUTE
 
 
@@ -105,7 +105,7 @@ def stage(trie: Poptrie, rib: Rib, prefix: Prefix) -> _Patch:
     elif trie.s:
         _stage_direct_entry(trie, rib, prefix, patch)
     else:
-        _stage_refine(trie, trie.root_index, rib.root, NO_ROUTE, 0, prefix, patch)
+        _stage_refine(trie, rib, trie.root_index, ROOT, NO_ROUTE, 0, prefix, patch)
     return patch
 
 
@@ -164,9 +164,14 @@ def _publish_update_obs(
     ).inc(leaves)
 
 
-def _stage_subtree(trie: Poptrie, rnode, inherited: int, patch: _Patch) -> int:
-    """Serialize a fresh subtree for ``rnode``; returns its root index."""
-    tmp = builder.expand_node(rnode, inherited, trie.k, trie.config.use_leafvec)
+def _stage_subtree(
+    trie: Poptrie, rib: Rib, rnode: int, inherited: int, patch: _Patch
+) -> int:
+    """Serialize a fresh subtree for RIB node ``rnode``; returns its root
+    index."""
+    tmp = builder.expand_node(
+        rib, rnode, inherited, trie.k, trie.config.use_leafvec
+    )
     serializer = builder.Serializer(trie)
     index = serializer.serialize(tmp)
     patch.inodes += serializer.nodes_written
@@ -194,12 +199,12 @@ def _stage_toplevel_range(
         if not entry & DIRECT_LEAF:
             patch.frees.extend(_collect_blocks(trie, entry))
             patch.frees.append(("nodes", entry, 1))
-    rnode, inherited = descend(rib.root, NO_ROUTE, base >> stride, prefix.length)
-    for offset, span, next_hop, subtree in expand(rnode, inherited, stride):
+    rnode, inherited = rib.descend(ROOT, NO_ROUTE, base >> stride, prefix.length)
+    for offset, span, next_hop, subtree in rib.expand(rnode, inherited, stride):
         at = base + offset
         if subtree is not None:
             patch.direct_writes.append(
-                (at, _stage_subtree(trie, subtree, next_hop, patch))
+                (at, _stage_subtree(trie, rib, subtree, next_hop, patch))
             )
         elif span == 1:
             patch.direct_writes.append((at, DIRECT_LEAF | next_hop))
@@ -215,12 +220,12 @@ def _stage_direct_entry(
     than s)."""
     index = prefix.value >> (trie.width - trie.s)
     entry = trie.direct[index]
-    rnode, inherited = descend(rib.root, NO_ROUTE, index, trie.s)
-    ((_, _, effective, subtree),) = expand(rnode, inherited, 0)
+    rnode, inherited = rib.descend(ROOT, NO_ROUTE, index, trie.s)
+    ((_, _, effective, subtree),) = rib.expand(rnode, inherited, 0)
     if entry & DIRECT_LEAF:
         if subtree is not None:
             patch.direct_writes.append(
-                (index, _stage_subtree(trie, subtree, effective, patch))
+                (index, _stage_subtree(trie, rib, subtree, effective, patch))
             )
         else:
             patch.direct_writes.append((index, DIRECT_LEAF | effective))
@@ -234,7 +239,7 @@ def _stage_direct_entry(
         patch.frees.append(("nodes", entry, 1))
         patch.direct_writes.append((index, DIRECT_LEAF | effective))
         return
-    _stage_refine(trie, entry, subtree, inherited, trie.s, prefix, patch)
+    _stage_refine(trie, rib, entry, subtree, inherited, trie.s, prefix, patch)
 
 
 # -- subtree refinement -----------------------------------------------------------
@@ -242,8 +247,9 @@ def _stage_direct_entry(
 
 def _stage_refine(
     trie: Poptrie,
+    rib: Rib,
     index: int,
-    rnode,
+    rnode: Optional[int],
     inherited: int,
     offset: int,
     prefix: Prefix,
@@ -254,7 +260,7 @@ def _stage_refine(
     k = trie.k
     use_leafvec = trie.config.use_leafvec
     while True:
-        slots = builder.expand_chunk(rnode, inherited, k)
+        slots = builder.expand_chunk(rib, rnode, inherited, k)
         shallow = builder.make_shallow(slots, use_leafvec)
         old_sig = (trie.vec[index], trie.lvec[index] if use_leafvec else 0)
         if shallow.shallow_signature() != old_sig:
@@ -266,14 +272,14 @@ def _stage_refine(
             break
         rank = (trie.vec[index] & ((2 << v) - 1)).bit_count() - 1
         child_index = trie.base1[index] + rank
-        rnode, inherited = descend(rnode, inherited, v, k)
+        rnode, inherited = rib.descend(rnode, inherited, v, k)
         index = child_index
         offset += k
     # Stage the in-place replacement: emit the new subtree's descendants
     # into fresh blocks, keep the root slot, and defer the root write —
     # the single atomic publication — to the commit phase.
     patch.frees.extend(_collect_blocks(trie, index))
-    tmp = builder.expand_node(rnode, inherited, k, use_leafvec)
+    tmp = builder.expand_node(rib, rnode, inherited, k, use_leafvec)
     serializer = builder.Serializer(trie)
     fields = serializer.serialize_fields(tmp)
     patch.node_write = (index, *fields)

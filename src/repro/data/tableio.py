@@ -40,21 +40,18 @@ snapshot was written in.
 
 from __future__ import annotations
 
-from typing import BinaryIO, TextIO, Union
+from typing import BinaryIO, Iterator, TextIO, Union
 
 import numpy as np
 
 from repro.errors import SnapshotFormatError, TableFormatError
 from repro.net.prefix import Prefix
+from repro.net.rib import MAX_FIB_INDEX as _MAX_FIB_INDEX
 from repro.net.rib import Rib
 
 _HEADER = "# repro-table v1 width="
 _VALUES_HEADER = "# repro-values "
 _VALUE_LINE = "# v "
-
-#: FIB indices must fit the widest supported leaf encoding (32-bit);
-#: index 0 is the NO_ROUTE sentinel and never appears in a table.
-_MAX_FIB_INDEX = (1 << 32) - 1
 
 _MASK64 = (1 << 64) - 1
 
@@ -231,22 +228,13 @@ def rib_to_image(rib: Rib):
     """
     from repro.parallel.image import TableImage
 
-    prefix_values, lengths, fib_indices = rib.route_columns()
-    count = len(prefix_values)
-    meta = {"routes": count}
-    if rib.width > 64:
-        value_hi = np.fromiter((v >> 64 for v in prefix_values), np.uint64, count)
-        value_lo = np.fromiter(
-            (v & _MASK64 for v in prefix_values), np.uint64, count
-        )
-    else:
-        value_hi = np.zeros(count, np.uint64)
-        value_lo = np.array(prefix_values, np.uint64)
+    value_hi, value_lo, lengths, fib_indices = rib.route_columns()
+    meta = {"routes": len(lengths)}
     segments = {
         "value_hi": value_hi,
         "value_lo": value_lo,
-        "length": np.array(lengths, np.uint8),
-        "fib": np.array(fib_indices, np.uint32),
+        "length": lengths,
+        "fib": fib_indices,
     }
     if rib.values is not None:
         # Same convention as structure images (repro.lookup.base): the
@@ -270,7 +258,7 @@ def rib_from_image(image) -> Rib:
     """Rebuild a :class:`~repro.net.rib.Rib` from a ``kind="rib"`` image.
 
     Rows may come in any order: they are validated with numpy, sorted
-    into preorder and handed to :meth:`~repro.net.rib.Rib.load_sorted`,
+    into preorder and streamed to :meth:`~repro.net.rib.Rib.load_sorted`,
     which creates each radix node once.  Of duplicate rows the last
     wins, as with repeated :meth:`~repro.net.rib.Rib.insert`.
 
@@ -330,12 +318,19 @@ def rib_from_image(image) -> Rib:
     )
     hi, lo, length, fib = hi[last], lo[last], length[last], fib[last]
     if width > 64:
-        prefix_values = [(h << 64) | l for h, l in zip(hi.tolist(), lo.tolist())]
+        prefix_values = ((h << 64) | l for h, l in zip(_ints(hi), _ints(lo)))
     else:
-        prefix_values = lo.tolist()
+        prefix_values = _ints(lo)
     rib = Rib(width=width, values=values)
-    rib.load_sorted(prefix_values, length.tolist(), fib.tolist())
+    rib.load_sorted(prefix_values, _ints(length), _ints(fib))
     return rib
+
+
+def _ints(column: np.ndarray, chunk: int = 1 << 16) -> Iterator[int]:
+    """``column``'s values as Python ints, converted a chunk at a time, so
+    no list holding every row is built."""
+    for start in range(0, len(column), chunk):
+        yield from column[start:start + chunk].tolist()
 
 
 def _bad_rows(hi, lo, length, fib, width: int) -> np.ndarray:
@@ -382,7 +377,10 @@ def save_table_image(rib: Rib, destination: Union[str, BinaryIO]) -> int:
     (:meth:`repro.robust.journal.Journal.checkpoint`) are written this
     way.
     """
-    blob = rib_to_image(rib).to_bytes()
+    image = rib_to_image(rib)
+    blob = bytearray(image.nbytes)
+    image.write_into(blob)
+    del image  # its route columns are in the blob now
     owned = isinstance(destination, str)
     stream = open(destination, "wb") if owned else destination
     try:

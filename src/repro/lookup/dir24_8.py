@@ -21,7 +21,7 @@ from repro.errors import StructuralLimitError
 from repro.lookup.base import LookupStructure, NoOptions, check_fib_capacity
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.rib import Rib, expand
+from repro.net.rib import ROOT, Rib
 from repro.net.values import NO_ROUTE
 
 _CHUNK_FLAG = 1 << 15
@@ -57,7 +57,7 @@ class Dir24_8(LookupStructure):
         tbl_long = array("H")
         # Controlled prefix expansion at stride 24; each subtree left at
         # depth 24 appends a 256-entry chunk to ``tbl_long``.
-        for base, span, next_hop, subtree in expand(rib.root, NO_ROUTE, 24):
+        for base, span, next_hop, subtree in rib.expand(ROOT, NO_ROUTE, 24):
             if subtree is None:
                 if span == 1:
                     tbl24[base] = next_hop
@@ -70,7 +70,7 @@ class Dir24_8(LookupStructure):
                     "DIR-24-8: more than 2^15 second-level chunks"
                 )
             tbl24[base] = _CHUNK_FLAG | chunk
-            for _, count, hop, _ in expand(subtree, next_hop, 8):
+            for _, count, hop, _ in rib.expand(subtree, next_hop, 8):
                 if count == 1:
                     tbl_long.append(hop)
                 else:

@@ -33,7 +33,7 @@ from repro.errors import StructuralLimitError
 from repro.lookup.base import LookupStructure, StructureConfig, check_fib_capacity
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.rib import Rib, expand
+from repro.net.rib import ROOT, Rib
 from repro.net.values import NO_ROUTE
 
 _DIRECT_FLAG = 1 << 31
@@ -121,13 +121,13 @@ class Dxr(LookupStructure):
         # one bit; the IPv4 "modified" variant only widens the global index.
         chunk_limit = MAX_CHUNK_RANGES_IPV6 if width != 32 else MAX_CHUNK_RANGES
 
-        for base, span, next_hop, subtree in expand(rib.root, NO_ROUTE, s):
+        for base, span, next_hop, subtree in rib.expand(ROOT, NO_ROUTE, s):
             if subtree is not None:
                 # The chunk's ranges: its expansion over the remaining
                 # bits, adjacent runs with equal next hops merged.
                 run_starts: List[int] = []
                 run_hops: List[int] = []
-                for start, _, hop, _ in expand(subtree, next_hop, offset_bits):
+                for start, _, hop, _ in rib.expand(subtree, next_hop, offset_bits):
                     if not run_hops or run_hops[-1] != hop:
                         run_starts.append(start)
                         run_hops.append(hop)

@@ -32,7 +32,7 @@ from repro.errors import StructuralLimitError
 from repro.lookup.base import LookupStructure, NoOptions, check_fib_capacity
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.rib import Rib, RibNode, expand
+from repro.net.rib import ROOT, Rib
 from repro.net.values import NO_ROUTE
 
 #: Items with this bit set point at a next-level chunk id.
@@ -111,10 +111,10 @@ class Lulea(LookupStructure):
         structure = cls()
         chunk_counts = [0, 0, 0]
 
-        def add_chunk(node: Optional[RibNode], inherited: int, level: int) -> int:
+        def add_chunk(node: Optional[int], inherited: int, level: int) -> int:
             """Expand one chunk at ``level``; returns its chunk id."""
             values: List[int] = []
-            for _, span, next_hop, subtree in expand(
+            for _, span, next_hop, subtree in rib.expand(
                 node, inherited, LEVEL_BITS[level]
             ):
                 if subtree is not None:
@@ -133,7 +133,7 @@ class Lulea(LookupStructure):
             chunk_counts[level] += 1
             return chunk_id
 
-        add_chunk(rib.root, NO_ROUTE, 0)
+        add_chunk(ROOT, NO_ROUTE, 0)
         for i, level in enumerate(structure.levels):
             structure._regions.append(
                 structure.memmap.add_region(

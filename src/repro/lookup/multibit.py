@@ -24,7 +24,7 @@ from repro.core.builder import expand_chunk
 from repro.lookup.base import LookupStructure, StructureConfig, check_fib_capacity
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.rib import Rib, RibNode
+from repro.net.rib import ROOT, Rib
 from repro.net.values import NO_ROUTE
 
 _NODE_INSTRUCTIONS = 3
@@ -68,7 +68,7 @@ class MultibitTrie(LookupStructure):
         check_fib_capacity(cls, rib.max_fib_index())
         trie = cls(config.k, rib.width)
         trie._append_node()
-        trie._build(rib.root, 0, NO_ROUTE)
+        trie._build(rib, ROOT, 0, NO_ROUTE)
         trie._region = trie.memmap.add_region(
             "multibit.slots",
             6,  # 2 bytes next hop + 4 bytes child per slot
@@ -82,12 +82,14 @@ class MultibitTrie(LookupStructure):
         self.children.extend([0] * self._slots)
         return index
 
-    def _build(self, rnode: Optional[RibNode], node: int, inherited: int) -> None:
+    def _build(
+        self, rib: Rib, rnode: Optional[int], node: int, inherited: int
+    ) -> None:
         """Controlled prefix expansion of one chunk, recursing into
         children — the same walk as the Poptrie builder but materialising
         every slot."""
         base = node * self._slots
-        for v, slot in enumerate(expand_chunk(rnode, inherited, self.k)):
+        for v, slot in enumerate(expand_chunk(rib, rnode, inherited, self.k)):
             if isinstance(slot, tuple):
                 child_rnode, child_inherited = slot
                 # Lookups never end on a slot with a child; its next hop
@@ -95,7 +97,7 @@ class MultibitTrie(LookupStructure):
                 self.nexthops[base + v] = child_inherited
                 child = self._append_node()
                 self.children[base + v] = child
-                self._build(child_rnode, child, child_inherited)
+                self._build(rib, child_rnode, child, child_inherited)
             else:
                 self.nexthops[base + v] = slot
 

@@ -2,8 +2,8 @@
 
 This is a thin adapter over :class:`repro.net.rib.Rib` that adds the
 :class:`~repro.lookup.base.LookupStructure` interface and — for the cycle
-simulator — per-node virtual addresses.  Nodes are numbered in depth-first
-order at adaptation time, approximating the allocation locality a C
+simulator — per-node virtual addresses.  Node ids are numbered in
+depth-first order at adaptation time, approximating the allocation locality a C
 implementation would get from a pool allocator; the defining performance
 property (one dependent memory access per bit of depth) is preserved
 regardless of numbering.
@@ -16,7 +16,7 @@ from typing import Dict
 from repro.lookup.base import LookupStructure, NoOptions
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.rib import NODE_BYTES, Rib
+from repro.net.rib import NODE_BYTES, ROOT, Rib
 from repro.net.values import NO_ROUTE
 
 #: Per-node work: bit extract, compare, branch, pointer chase.
@@ -46,14 +46,15 @@ class RadixLookup(LookupStructure):
         return cls(rib)
 
     def _number_nodes(self) -> None:
-        stack = [self.rib.root]
+        left, right = self.rib.left, self.rib.right
+        stack = [ROOT]
         while stack:
             node = stack.pop()
-            self._numbering[id(node)] = len(self._numbering)
-            if node.right is not None:
-                stack.append(node.right)
-            if node.left is not None:
-                stack.append(node.left)
+            self._numbering[node] = len(self._numbering)
+            if right[node]:
+                stack.append(right[node])
+            if left[node]:
+                stack.append(left[node])
 
     # -- LookupStructure ----------------------------------------------------
 
@@ -61,24 +62,27 @@ class RadixLookup(LookupStructure):
         return self.rib.lookup(key)
 
     def lookup_traced(self, key: int, trace: AccessTrace) -> int:
-        node = self.rib.root
+        left, right, route = self.rib.left, self.rib.right, self.rib.route
+        node = ROOT
         best = NO_ROUTE
         shift = self.width - 1
         numbering = self._numbering
         region = self._region
-        while node is not None:
-            # setdefault: nodes inserted after adaptation get fresh numbers,
-            # exactly as a pool allocator would place fresh allocations.
-            trace.read(region, numbering.setdefault(id(node), len(numbering)))
+        while True:
+            # setdefault: nodes inserted after adaptation get fresh numbers
+            # (a pruned node's reused id keeps its own), exactly as a pool
+            # allocator would place fresh allocations.
+            trace.read(region, numbering.setdefault(node, len(numbering)))
             trace.work(_NODE_INSTRUCTIONS)
             trace.mispredict(0.05)  # bit-direction branch, mildly unpredictable
-            if node.route != NO_ROUTE:
-                best = node.route
+            if route[node] != NO_ROUTE:
+                best = route[node]
             if shift < 0:
-                break
-            node = node.child((key >> shift) & 1)
+                return best
+            node = (right if (key >> shift) & 1 else left)[node]
+            if not node:
+                return best
             shift -= 1
-        return best
 
     def memory_bytes(self) -> int:
         return self.rib.memory_bytes()

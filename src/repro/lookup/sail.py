@@ -29,7 +29,7 @@ from repro.errors import StructuralLimitError
 from repro.lookup.base import LookupStructure, NoOptions, check_fib_capacity
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.rib import Rib, expand
+from repro.net.rib import ROOT, Rib
 from repro.net.values import NO_ROUTE
 
 _CHUNK_FLAG = 1 << 15
@@ -69,7 +69,7 @@ class Sail(LookupStructure):
             ``level``'s array (0: level 16, 1: 24, 2: 32); each subtree
             left at the chunk's end gets the next level's next chunk."""
             out, stride = levels[level]
-            for _, span, next_hop, subtree in expand(node, inherited, stride):
+            for _, span, next_hop, subtree in rib.expand(node, inherited, stride):
                 if subtree is None:
                     if span == 1:
                         out.append(next_hop)
@@ -88,7 +88,7 @@ class Sail(LookupStructure):
                 out.append(_CHUNK_FLAG | ident)
 
         # Controlled prefix expansion in strides of 16, 8, 8.
-        append_chunk(0, rib.root, NO_ROUTE)
+        append_chunk(0, ROOT, NO_ROUTE)
         return cls(bcn16, bcn24, n32)
 
     # -- LookupStructure ---------------------------------------------------------

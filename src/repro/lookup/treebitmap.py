@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 from repro.lookup.base import LookupStructure, StructureConfig, check_fib_capacity
 from repro.lookup.registry import register
 from repro.mem.layout import AccessTrace, MemoryMap
-from repro.net.rib import Rib, RibNode
+from repro.net.rib import ROOT, Rib
 from repro.net.values import NO_ROUTE
 
 
@@ -80,7 +80,7 @@ class TreeBitmap(LookupStructure):
         config = TreeBitmapConfig.resolve(config, options)
         check_fib_capacity(cls, rib.max_fib_index())
         tbm = cls(config.stride, rib.width)
-        tmp_root = tbm._build_tmp(rib.root)
+        tmp_root = tbm._build_tmp(rib, ROOT)
         tbm._serialize(tmp_root)
         tbm._node_region = tbm.memmap.add_region(
             "tbm.nodes", tbm.node_bytes, max(len(tbm.ext), 1)
@@ -92,29 +92,30 @@ class TreeBitmap(LookupStructure):
 
     # -- construction ------------------------------------------------------
 
-    def _build_tmp(self, rnode: RibNode) -> _TmpNode:
+    def _build_tmp(self, rib: Rib, rnode: int) -> _TmpNode:
         t = self.stride
+        left, right, routes = rib.left, rib.right, rib.route
         tmp = _TmpNode()
         found: List[Tuple[int, int]] = []  # (internal bit position, route)
-        pending: List[Tuple[int, RibNode]] = []  # (slot value, radix child)
-        stack: List[Tuple[Optional[RibNode], int, int]] = [(rnode, 0, 0)]
+        pending: List[Tuple[int, int]] = []  # (slot value, radix child)
+        stack: List[Tuple[int, int, int]] = [(rnode, 0, 0)]
         while stack:
             node, depth, value = stack.pop()
-            if node is None:
-                continue
             if depth == t:
                 pending.append((value, node))
                 continue
-            if node.route != NO_ROUTE:
-                found.append(((1 << depth) - 1 + value, node.route))
-            stack.append((node.left, depth + 1, value << 1))
-            stack.append((node.right, depth + 1, (value << 1) | 1))
+            if routes[node] != NO_ROUTE:
+                found.append(((1 << depth) - 1 + value, routes[node]))
+            if left[node]:
+                stack.append((left[node], depth + 1, value << 1))
+            if right[node]:
+                stack.append((right[node], depth + 1, (value << 1) | 1))
         for bit, route in sorted(found):
             tmp.intbitmap |= 1 << bit
             tmp.results.append(route)
         for value, child in sorted(pending, key=lambda item: item[0]):
             tmp.extbitmap |= 1 << value
-            tmp.children.append(self._build_tmp(child))
+            tmp.children.append(self._build_tmp(rib, child))
         return tmp
 
     def _serialize(self, root: _TmpNode) -> None:

@@ -31,7 +31,7 @@ from repro.net.values import (
     synthetic_fib,
     value_kind,
 )
-from repro.net.rib import Rib, RibNode
+from repro.net.rib import Rib
 
 __all__ = [
     "IPV4_BITS",
@@ -48,5 +48,4 @@ __all__ = [
     "synthetic_fib",
     "value_kind",
     "Rib",
-    "RibNode",
 ]

@@ -1,24 +1,42 @@
-"""The RIB: a binary radix tree over prefixes.
+"""The RIB: a binary radix tree over prefixes, stored as node columns.
 
 The paper keeps the routes "in a separate routing table (RIB: Routing
 Information Base) such as radix or Patricia trie" (Section 3) and compiles
 Poptrie — and, in our reproduction, every baseline structure — from it.
 This module implements that substrate as a plain binary radix tree (one bit
-per level).  It also provides:
+per level).
 
-- longest-prefix-match lookup (the "Radix" baseline row of Tables 2 and 3),
+The tree lives in three parallel ``array("I")`` columns, ``left``,
+``right`` and ``route``, indexed by node id: no Python object per node.
+Node 0 (:data:`ROOT`) is the root.  A child id of 0 means "no child",
+since the root is nobody's child, and a route of ``NO_ROUTE`` (also 0)
+means the node carries none, so a zero-filled row is an empty node.
+Nodes that :meth:`Rib.delete` prunes go on a free list threaded through
+``left``, which :meth:`Rib.insert` reuses.  A node handle is an int id;
+the walks return ``None`` where a path leaves the tree.
+
+Besides insert, delete and longest-prefix-match lookup (the "Radix"
+baseline row of Tables 2 and 3), the :class:`Rib` provides:
+
 - :meth:`Rib.lookup_with_depth`, which reports the *binary radix depth*:
   the number of bits that had to be examined to decide the longest match.
   Section 4.1 and Figures 7 and 11 of the paper are built on this quantity,
-- :func:`expand`, the one controlled-prefix-expansion walk every
+- :meth:`Rib.expand`, the one controlled-prefix-expansion walk every
   stride-based builder compiles from (Poptrie and its direct pointing,
   the incremental updater, DIR-24-8, SAIL, DXR, Lulea, Multibit), and
-  :func:`descend`, the matching walk down one key's path.
+  :meth:`Rib.descend`, the matching walk down one key's path,
+- the bulk pair :meth:`Rib.load_sorted` / :meth:`Rib.route_columns` behind
+  the ``RPIMG001`` table images, and :meth:`Rib.max_fib_index`, kept in
+  O(1) by a per-FIB-index route count.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from array import array
+from collections import Counter
+from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.net.prefix import Prefix
 from repro.net.values import NO_ROUTE
@@ -26,34 +44,16 @@ from repro.net.values import NO_ROUTE
 #: Bytes we account per radix node: two child pointers, a parent/route word
 #: and the route index — comparable to the C implementation the paper
 #: benchmarks (its radix occupies ~30 MiB at 520 k routes; ours matches with
-#: 24-byte nodes plus per-route overhead).
+#: 24-byte nodes plus per-route overhead).  The columns themselves hold
+#: 12 bytes per node.
 NODE_BYTES = 24
 
+#: The root's node id.
+ROOT = 0
 
-class RibNode:
-    """One node of the binary radix tree.
-
-    ``route`` is a FIB index (``NO_ROUTE`` when the node carries no route).
-    """
-
-    __slots__ = ("left", "right", "route")
-
-    def __init__(self) -> None:
-        self.left: Optional[RibNode] = None
-        self.right: Optional[RibNode] = None
-        self.route: int = NO_ROUTE
-
-    def child(self, bit: int) -> Optional["RibNode"]:
-        return self.right if bit else self.left
-
-    def set_child(self, bit: int, node: Optional["RibNode"]) -> None:
-        if bit:
-            self.right = node
-        else:
-            self.left = node
-
-    def is_leaf(self) -> bool:
-        return self.left is None and self.right is None
+#: The largest FIB index a ``route`` column entry holds: the widest
+#: supported leaf encoding (32-bit).  Index 0 is the NO_ROUTE sentinel.
+MAX_FIB_INDEX = (1 << 32) - 1
 
 
 class Rib:
@@ -63,9 +63,9 @@ class Rib:
     or all at once through :meth:`load_sorted`, the bulk builder behind
     :func:`repro.data.tableio.rib_from_image`: it takes routes already in
     preorder and creates each node once from a single path stack.
-    :meth:`route_columns` is the matching bulk reader (plain int lists,
-    no :class:`Prefix` objects), and :meth:`max_fib_index` answers the
-    FIB-capacity question every builder asks without building routes.
+    :meth:`route_columns` is the matching bulk reader (numpy columns, no
+    :class:`Prefix` objects), and :meth:`max_fib_index` answers the
+    FIB-capacity question every builder asks without walking the tree.
 
     >>> rib = Rib(width=32)
     >>> rib.insert(Prefix.parse("10.0.0.0/8"), 1)
@@ -76,13 +76,24 @@ class Rib:
     2
     >>> rib.lookup(int(__import__("ipaddress").ip_address("10.2.0.1")))
     1
+    >>> rib.node_count, len(rib.left)
+    (17, 17)
     """
 
     def __init__(self, width: int = 32, values=None) -> None:
         self.width = width
-        self.root = RibNode()
-        self._route_count = 0
+        #: The node columns (see the module docstring); row 0 is the root.
+        self.left = array("I", [0])
+        self.right = array("I", [0])
+        self.route = array("I", [NO_ROUTE])
+        #: Head of the free list of pruned node ids (0: empty), linked
+        #: through ``left``.
+        self._free = 0
         self._node_count = 1
+        self._route_count = 0
+        #: Routes per FIB index, and the largest index among them.
+        self._fib_counts: Dict[int, int] = {}
+        self._max_fib = NO_ROUTE
         #: Optional :class:`~repro.net.values.ValueTable` giving meaning
         #: to the route ids stored in the nodes.  ``None`` means the ids
         #: are opaque (the historical FIB-index-only mode); builders and
@@ -95,6 +106,7 @@ class Rib:
 
     @property
     def node_count(self) -> int:
+        """Number of live nodes (free-listed ids excluded)."""
         return self._node_count
 
     def memory_bytes(self) -> int:
@@ -108,93 +120,115 @@ class Rib:
         self._check(prefix)
         if fib_index == NO_ROUTE:
             raise ValueError("use delete() to remove a route")
+        if not 0 < fib_index <= MAX_FIB_INDEX:
+            raise ValueError(f"FIB index {fib_index} outside 1..{MAX_FIB_INDEX}")
         node = self._descend_create(prefix)
-        previous = node.route
-        node.route = fib_index
+        previous = self.route[node]
+        self.route[node] = fib_index
+        self._fib_counts[fib_index] = self._fib_counts.get(fib_index, 0) + 1
+        if fib_index > self._max_fib:
+            self._max_fib = fib_index
         if previous == NO_ROUTE:
             self._route_count += 1
+        else:
+            self._uncount(previous)
         return previous
 
     def load_sorted(self, values, lengths, fib_indices) -> None:
         """Bulk-build this (empty) RIB from routes in preorder.
 
         ``values``, ``lengths`` and ``fib_indices`` are parallel
-        sequences of ints: left-aligned prefix values with no host bits,
-        lengths ≤ ``width`` and non-zero FIB indices, sorted by
-        ``(value, length)`` — the order :meth:`routes` yields — with no
-        duplicates.  One stack holds the previous route's path.  Each
-        route pops it to the depth it shares with the previous route;
-        in preorder every node below that depth is new, so each node is
-        created exactly once, with no per-bit method calls.  A route that
-        would land on a node already built (a duplicate, or a route after
-        one of its descendants) raises :class:`ValueError`, leaving the
-        routes before it loaded; rows in preorder never do.
+        iterables of ints: left-aligned prefix values with no host bits,
+        lengths ≤ ``width`` and FIB indices in ``1..MAX_FIB_INDEX``,
+        sorted by ``(value, length)`` — the order :meth:`routes` yields —
+        with no duplicates.  ``path`` holds the previous route's node ids
+        by depth.  Each route shares a depth with the previous one; in
+        preorder every node below that depth is new, so the route's new
+        nodes are appended to the columns as one zero-filled block and
+        linked from the path, with no per-node Python object.  A route
+        that would land on a node already built (a duplicate, or a route
+        after one of its descendants) raises :class:`ValueError`, leaving
+        the routes before it loaded; rows in preorder never do.
         """
         if self._route_count or self._node_count != 1:
             raise ValueError("load_sorted needs an empty RIB")
         width = self.width
-        path = [self.root]
-        previous = 0
-        created = 0
+        left, right, route = self.left, self.right, self.route
+        # Drop the ids an emptied RIB may still hold on its free list.
+        del left[1:], right[1:], route[1:]
+        self._free = 0
+        blocks = [array("I", bytes(4 * n)) for n in range(width + 1)]
+        path = [ROOT] * (width + 1)
+        previous = previous_length = 0
         count = 0
         try:
             for value, length, fib_index in zip(values, lengths, fib_indices):
                 depth = min(
-                    width - (value ^ previous).bit_length(), length, len(path) - 1
+                    width - (value ^ previous).bit_length(), length, previous_length
                 )
-                del path[depth + 1:]
                 node = path[depth]
                 if depth == length:
                     clash = count > 0  # only a leading /0 lands on the root
                 else:
                     bit = (value >> (width - 1 - depth)) & 1
-                    clash = (node.right if bit else node.left) is not None
+                    clash = (right if bit else left)[node] != 0
                 if clash:
                     raise ValueError(
                         f"route {count} is a duplicate or out of preorder"
                     )
+                child = len(left)
+                block = blocks[length - depth]
+                left += block
+                right += block
+                route += block
                 for shift in range(width - 1 - depth, width - 1 - length, -1):
-                    child = RibNode()
-                    if (value >> shift) & 1:
-                        node.right = child
-                    else:
-                        node.left = child
-                    path.append(child)
-                    node = child
-                node.route = fib_index
-                created += length - depth
+                    (right if (value >> shift) & 1 else left)[node] = child
+                    depth += 1
+                    path[depth] = node = child
+                    child += 1
+                route[node] = fib_index
                 count += 1
-                previous = value
+                previous, previous_length = value, length
         finally:
-            self._node_count += created
+            self._node_count = len(left)
             self._route_count = count
+            counts = Counter(route)
+            counts.pop(NO_ROUTE, None)
+            self._fib_counts = dict(counts)
+            self._max_fib = max(counts, default=NO_ROUTE)
 
     def delete(self, prefix: Prefix) -> int:
         """Remove a route; returns the FIB index it had.
 
         Raises :class:`KeyError` if the prefix is not present.  Interior
-        nodes left without routes or children are pruned so the node count
-        tracks the live tree.
+        nodes left without routes or children are pruned onto the free
+        list, so the node count tracks the live tree.
         """
         self._check(prefix)
-        path: List[Tuple[RibNode, int]] = []
-        node = self.root
-        for i in range(prefix.length):
-            bit = prefix.bit(i)
-            nxt = node.child(bit)
-            if nxt is None:
+        left, right, route = self.left, self.right, self.route
+        path: List[Tuple[int, array]] = []
+        node = ROOT
+        value = prefix.value
+        top = self.width - 1
+        for shift in range(top, top - prefix.length, -1):
+            column = right if (value >> shift) & 1 else left
+            child = column[node]
+            if not child:
                 raise KeyError(prefix.text)
-            path.append((node, bit))
-            node = nxt
-        if node.route == NO_ROUTE:
+            path.append((node, column))
+            node = child
+        previous = route[node]
+        if previous == NO_ROUTE:
             raise KeyError(prefix.text)
-        previous = node.route
-        node.route = NO_ROUTE
+        route[node] = NO_ROUTE
         self._route_count -= 1
+        self._uncount(previous)
         # Prune childless, routeless nodes bottom-up.
-        while path and node.is_leaf() and node.route == NO_ROUTE:
-            parent, bit = path.pop()
-            parent.set_child(bit, None)
+        while path and not (left[node] or right[node] or route[node]):
+            parent, column = path.pop()
+            column[parent] = 0
+            left[node] = self._free
+            self._free = node
             self._node_count -= 1
             node = parent
         return previous
@@ -202,23 +236,25 @@ class Rib:
     def get(self, prefix: Prefix) -> int:
         """Exact-match: FIB index of ``prefix`` or ``NO_ROUTE``."""
         node = self.node_at(prefix)
-        return node.route if node is not None else NO_ROUTE
+        return self.route[node] if node is not None else NO_ROUTE
 
     # -- lookup ------------------------------------------------------------
 
     def lookup(self, address: int) -> int:
         """Longest-prefix-match ``address`` to a FIB index."""
-        node: Optional[RibNode] = self.root
+        left, right, route = self.left, self.right, self.route
+        node = ROOT
         best = NO_ROUTE
         shift = self.width - 1
-        while node is not None:
-            if node.route != NO_ROUTE:
-                best = node.route
+        while True:
+            if route[node] != NO_ROUTE:
+                best = route[node]
             if shift < 0:
-                break
-            node = node.child((address >> shift) & 1)
+                return best
+            node = (right if (address >> shift) & 1 else left)[node]
+            if not node:
+                return best
             shift -= 1
-        return best
 
     def lookup_with_depth(self, address: int) -> Tuple[int, int, int]:
         """LPM plus the paper's depth metrics.
@@ -230,19 +266,20 @@ class Rib:
         matched prefix length because longer prefixes punch holes in
         shorter ones.
         """
-        node: Optional[RibNode] = self.root
+        left, right, route = self.left, self.right, self.route
+        node = ROOT
         best = NO_ROUTE
         best_len = 0
         depth = 0
         shift = self.width - 1
         while True:
-            if node.route != NO_ROUTE:
-                best = node.route
+            if route[node] != NO_ROUTE:
+                best = route[node]
                 best_len = depth
             if shift < 0:
                 break
-            nxt = node.child((address >> shift) & 1)
-            if nxt is None:
+            nxt = (right if (address >> shift) & 1 else left)[node]
+            if not nxt:
                 break
             node = nxt
             depth += 1
@@ -253,64 +290,91 @@ class Rib:
 
     def routes(self) -> Iterator[Tuple[Prefix, int]]:
         """Yield ``(prefix, fib_index)`` in lexicographic bit order."""
-        stack: List[Tuple[RibNode, int, int]] = [(self.root, 0, 0)]
+        left, right, route = self.left, self.right, self.route
+        width = self.width
+        stack: List[Tuple[int, int, int]] = [(ROOT, 0, 0)]
         while stack:
             node, value, length = stack.pop()
-            if node.route != NO_ROUTE:
-                yield Prefix(value, length, self.width), node.route
+            if route[node] != NO_ROUTE:
+                yield Prefix(value, length, width), route[node]
             # Push right first so left pops (and yields) first.
-            if node.right is not None:
+            if right[node]:
                 stack.append(
-                    (node.right, value | (1 << (self.width - length - 1)), length + 1)
+                    (right[node], value | (1 << (width - length - 1)), length + 1)
                 )
-            if node.left is not None:
-                stack.append((node.left, value, length + 1))
+            if left[node]:
+                stack.append((left[node], value, length + 1))
 
-    def route_columns(self) -> Tuple[List[int], List[int], List[int]]:
-        """The routes as parallel ``(values, lengths, fib_indices)`` lists.
+    def route_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The routes as numpy columns ``(value_hi, value_lo, lengths,
+        fib_indices)`` (uint64, uint64, uint8, uint32).
 
-        Same order as :meth:`routes`, but with no :class:`Prefix` per
-        route: the bulk reader image writers use.  :meth:`routes` stays a
-        lazy walk of its own, because some callers stop early.
+        Same order as :meth:`routes` (preorder, which is ``(value,
+        length)`` order), with each prefix value split into 64-bit
+        halves: the bulk reader image writers use.  The tree is walked
+        one depth at a time over the columns, with no Python object per
+        node or route.  :meth:`routes` stays a lazy walk of its own,
+        because some callers stop early.
         """
-        values: List[int] = []
-        lengths: List[int] = []
-        fib_indices: List[int] = []
-        top = self.width - 1
-        stack: List[Tuple[RibNode, int, int]] = [(self.root, 0, 0)]
-        while stack:
-            node, value, length = stack.pop()
-            if node.route != NO_ROUTE:
-                values.append(value)
-                lengths.append(length)
-                fib_indices.append(node.route)
-            if node.right is not None:
-                stack.append((node.right, value | (1 << (top - length)), length + 1))
-            if node.left is not None:
-                stack.append((node.left, value, length + 1))
-        return values, lengths, fib_indices
+        left = np.frombuffer(self.left, np.uint32)
+        right = np.frombuffer(self.right, np.uint32)
+        route = np.frombuffer(self.route, np.uint32)
+        width = self.width
+        # The frontier: node ids at one depth, and their values' halves.
+        nodes = np.zeros(1, np.uint32)
+        hi = np.zeros(1, np.uint64)
+        lo = np.zeros(1, np.uint64)
+        found = ([], [], [], [])  # per depth: the routes' hi, lo, length, fib
+        for depth in range(width + 1):
+            fib = route[nodes]
+            here = fib != NO_ROUTE
+            for parts, part in zip(found, (
+                hi[here], lo[here], np.full(here.sum(), depth, np.uint8), fib[here]
+            )):
+                parts.append(part)
+            if depth == width:
+                break
+            lefts, rights = left[nodes], right[nodes]
+            on_left, on_right = lefts != 0, rights != 0
+            # The right child sets the bit at this depth.
+            shift = width - 1 - depth
+            rhi, rlo = hi[on_right], lo[on_right]
+            if shift >= 64:
+                rhi |= np.uint64(1 << (shift - 64))
+            else:
+                rlo |= np.uint64(1 << shift)
+            nodes = np.concatenate((lefts[on_left], rights[on_right]))
+            if not len(nodes):
+                break
+            hi = np.concatenate((hi[on_left], rhi))
+            lo = np.concatenate((lo[on_left], rlo))
+        # Join and reorder one column at a time, releasing each input as
+        # it goes: the transient peak stays about one copy of the routes.
+        del left, right, route, nodes, hi, lo
+        columns = []
+        for parts in found:
+            columns.append(np.concatenate(parts))
+            parts.clear()
+        order = np.lexsort(columns[2::-1])  # by value_hi, value_lo, length
+        for i, column in enumerate(columns):
+            columns[i] = column[order]
+        return tuple(columns)
 
     def max_fib_index(self) -> int:
         """The largest FIB index of any route (``NO_ROUTE``, 0, when empty)."""
-        best = NO_ROUTE
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.route > best:
-                best = node.route
-            if node.left is not None:
-                stack.append(node.left)
-            if node.right is not None:
-                stack.append(node.right)
-        return best
+        return self._max_fib
 
-    def node_at(self, prefix: Prefix) -> Optional[RibNode]:
-        """The radix node exactly at ``prefix``, or ``None``."""
+    def node_at(self, prefix: Prefix) -> Optional[int]:
+        """The id of the radix node exactly at ``prefix``, or ``None``."""
         self._check(prefix)
-        bits = prefix.length
-        node, _ = descend(
-            self.root, NO_ROUTE, prefix.value >> (self.width - bits), bits
-        )
+        left, right = self.left, self.right
+        node = ROOT
+        value = prefix.value
+        top = self.width - 1
+        for shift in range(top, top - prefix.length, -1):
+            node = (right if (value >> shift) & 1 else left)[node]
+            if not node:
+                return None
         return node
 
     def best_route_on_path(self, prefix: Prefix) -> int:
@@ -320,12 +384,79 @@ class Rib:
         """
         self._check(prefix)
         bits = prefix.length
-        node, best = descend(
-            self.root, NO_ROUTE, prefix.value >> (self.width - bits), bits
+        node, best = self.descend(
+            ROOT, NO_ROUTE, prefix.value >> (self.width - bits), bits
         )
-        if node is not None and node.route != NO_ROUTE:
-            best = node.route
+        if node is not None and self.route[node] != NO_ROUTE:
+            best = self.route[node]
         return best
+
+    def descend(
+        self, node: Optional[int], inherited: int, value: int, bits: int
+    ) -> Tuple[Optional[int], int]:
+        """Walk ``bits`` bits of ``value`` (MSB first) down from ``node``.
+
+        Returns the node reached (``None`` once the path leaves the tree)
+        and the best route strictly above it: ``inherited``, overridden by
+        each route passed on the way down.
+        """
+        if node is None:
+            return None, inherited
+        left, right, route = self.left, self.right, self.route
+        for shift in range(bits - 1, -1, -1):
+            inherited = route[node] or inherited  # NO_ROUTE is 0
+            node = (right if (value >> shift) & 1 else left)[node]
+            if not node:
+                return None, inherited
+        return node, inherited
+
+    def expand(
+        self, node: Optional[int], inherited: int, stride: int
+    ) -> Iterator[Tuple[int, int, int, Optional[int]]]:
+        """Controlled prefix expansion of ``stride`` bits below ``node``.
+
+        Yields ``(base, span, next_hop, subtree)`` runs in slot order;
+        together they cover ``range(2**stride)`` exactly once.
+        ``inherited`` is the best route strictly above ``node``, and each
+        node's own route is folded into ``next_hop`` on the way down.  A
+        run without a ``subtree`` fills its ``span`` slots with
+        ``next_hop``: a missing node (``None``), or a node without
+        children, is one run at any depth.  ``subtree`` (a node id) is
+        set only at depth ``stride``, with ``span == 1``, on a node that
+        has children; the caller expands it further, inheriting
+        ``next_hop``.
+        """
+        if node is None:
+            yield 0, 1 << stride, inherited, None
+            return
+        left, right, route = self.left, self.right, self.route
+        # Deferred right children (id 0: missing) with their slot ranges.
+        stack: List[Tuple[int, int, int, int]] = []
+        pop, push = stack.pop, stack.append
+        bits, base = stride, 0
+        while True:
+            # ``node`` is live: follow its left child, deferring the right.
+            inherited = route[node] or inherited  # NO_ROUTE is 0
+            lchild, rchild = left[node], right[node]
+            if not (lchild or rchild):
+                yield base, 1 << bits, inherited, None
+            elif not bits:
+                yield base, 1, inherited, node
+            else:
+                bits -= 1
+                push((rchild, bits, base | (1 << bits), inherited))
+                if lchild:
+                    node = lchild
+                    continue
+                yield base, 1 << bits, inherited, None
+            # Resume at the deepest deferred child; a missing one is one run.
+            while stack:
+                node, bits, base, inherited = pop()
+                if node:
+                    break
+                yield base, 1 << bits, inherited, None
+            else:
+                return
 
     # -- internals -----------------------------------------------------------
 
@@ -335,73 +466,43 @@ class Rib:
                 f"prefix width {prefix.width} does not match RIB width {self.width}"
             )
 
-    def _descend_create(self, prefix: Prefix) -> RibNode:
-        node = self.root
-        for i in range(prefix.length):
-            bit = prefix.bit(i)
-            nxt = node.child(bit)
-            if nxt is None:
-                nxt = RibNode()
-                node.set_child(bit, nxt)
-                self._node_count += 1
-            node = nxt
+    def _uncount(self, fib_index: int) -> None:
+        """One route with ``fib_index`` is gone: update the counts."""
+        left = self._fib_counts[fib_index] - 1
+        if left:
+            self._fib_counts[fib_index] = left
+            return
+        del self._fib_counts[fib_index]
+        if fib_index == self._max_fib:
+            self._max_fib = max(self._fib_counts, default=NO_ROUTE)
+
+    def _descend_create(self, prefix: Prefix) -> int:
+        left, right = self.left, self.right
+        node = ROOT
+        value = prefix.value
+        top = self.width - 1
+        for shift in range(top, top - prefix.length, -1):
+            column = right if (value >> shift) & 1 else left
+            child = column[node]
+            if not child:
+                child = self._new_node()
+                column[node] = child
+            node = child
         return node
 
-
-def descend(
-    node: Optional[RibNode], inherited: int, value: int, bits: int
-) -> Tuple[Optional[RibNode], int]:
-    """Walk ``bits`` bits of ``value`` (MSB first) down from ``node``.
-
-    Returns the node reached (``None`` once the path leaves the tree)
-    and the best route strictly above it: ``inherited``, overridden by
-    each route passed on the way down.
-    """
-    for shift in range(bits - 1, -1, -1):
-        if node is None:
-            break
-        if node.route != NO_ROUTE:
-            inherited = node.route
-        node = node.right if (value >> shift) & 1 else node.left
-    return node, inherited
-
-
-def expand(
-    node: Optional[RibNode], inherited: int, stride: int
-) -> Iterator[Tuple[int, int, int, Optional[RibNode]]]:
-    """Controlled prefix expansion of ``stride`` bits below ``node``.
-
-    Yields ``(base, span, next_hop, subtree)`` runs in slot order; together
-    they cover ``range(2**stride)`` exactly once.  ``inherited`` is the
-    best route strictly above ``node``, and each node's own route is
-    folded into ``next_hop`` on the way down.  A run without a
-    ``subtree`` fills its ``span`` slots with ``next_hop``: a missing
-    node, or a node without children, is one run at any depth.
-    ``subtree`` is set only at depth ``stride``, with ``span == 1``, on a
-    node that has children; the caller expands it further, inheriting
-    ``next_hop``.
-    """
-    stack = [(node, stride, 0, inherited)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        node, bits, base, inherited = pop()
-        # Follow left children in the loop, deferring each right one.
-        while True:
-            if node is None:
-                yield base, 1 << bits, inherited, None
-                break
-            if node.route != NO_ROUTE:
-                inherited = node.route
-            left, right = node.left, node.right
-            if left is None and right is None:
-                yield base, 1 << bits, inherited, None
-                break
-            if not bits:
-                yield base, 1, inherited, node
-                break
-            bits -= 1
-            push((right, bits, base | (1 << bits), inherited))
-            node = left
+    def _new_node(self) -> int:
+        """A zero-filled row: the free list's head, or a new one."""
+        node = self._free
+        if node:
+            self._free = self.left[node]
+            self.left[node] = 0
+        else:
+            node = len(self.left)
+            self.left.append(0)
+            self.right.append(0)
+            self.route.append(NO_ROUTE)
+        self._node_count += 1
+        return node
 
 
 def rib_from_routes(

@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
+import selectors
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -58,6 +60,26 @@ class _DeadlineExceeded(Exception):
     """Internal: a queued request's deadline expired before dispatch."""
 
 
+#: The event loop's timeout granularity in microseconds.  ``epoll`` and
+#: ``poll`` wait in whole milliseconds, and CPython's selectors round a
+#: timeout up to the next one; ``kqueue`` and ``select`` take finer ones.
+SELECTOR_GRANULARITY_US = (
+    1000.0
+    if selectors.DefaultSelector.__name__
+    in ("EpollSelector", "PollSelector", "DevpollSelector")
+    else 1.0
+)
+
+
+def effective_wait_us(max_wait_us: float) -> float:
+    """The shortest coalescing window the event loop can wait for a
+    ``max_wait_us`` setting: rounded up to :data:`SELECTOR_GRANULARITY_US`
+    (0 stays 0: no wait).  With epoll a 200 µs window waits at least
+    1,000 µs."""
+    granularity = SELECTOR_GRANULARITY_US
+    return math.ceil(max(max_wait_us, 0.0) / granularity) * granularity
+
+
 @dataclass(frozen=True)
 class ServerConfig:
     """Knobs of one :class:`LookupServer`."""
@@ -69,7 +91,8 @@ class ServerConfig:
     #: this run in the next tick.
     max_batch: int = 8192
     #: Coalescing window after the first request of a tick arrives, in
-    #: microseconds.  0 disables coalescing delay entirely.
+    #: microseconds.  0 disables coalescing delay entirely.  The loop
+    #: waits at least :func:`effective_wait_us` of it.
     max_wait_us: float = 200.0
     max_frame_bytes: int = protocol.MAX_FRAME_BYTES
     max_keys_per_request: int = protocol.MAX_KEYS_PER_REQUEST
@@ -651,6 +674,7 @@ class LookupServer:
             "config": {
                 "max_batch": self.config.max_batch,
                 "max_wait_us": self.config.max_wait_us,
+                "effective_wait_us": effective_wait_us(self.config.max_wait_us),
                 "max_pending_requests": self.config.max_pending_requests,
                 "max_pending_keys": self.config.max_pending_keys,
             },

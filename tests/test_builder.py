@@ -2,7 +2,7 @@
 
 from repro.core import builder
 from repro.net.prefix import Prefix
-from repro.net.rib import Rib
+from repro.net.rib import ROOT, Rib
 from repro.net.values import NO_ROUTE
 
 
@@ -16,40 +16,40 @@ def rib_of(*routes, width=8):
 class TestExpandChunk:
     def test_empty_tree_is_all_inherited(self):
         rib = Rib(width=8)
-        slots = builder.expand_chunk(rib.root, 7, k=2)
+        slots = builder.expand_chunk(rib, ROOT, 7, k=2)
         assert slots == [7, 7, 7, 7]
 
     def test_route_at_chunk_boundary_covers_all(self):
         rib = rib_of(("", 5))
-        slots = builder.expand_chunk(rib.root, NO_ROUTE, k=2)
+        slots = builder.expand_chunk(rib, ROOT, NO_ROUTE, k=2)
         assert slots == [5, 5, 5, 5]
 
     def test_one_bit_route_covers_half(self):
         rib = rib_of(("1", 3))
-        slots = builder.expand_chunk(rib.root, 9, k=2)
+        slots = builder.expand_chunk(rib, ROOT, 9, k=2)
         assert slots == [9, 9, 3, 3]
 
     def test_exact_length_route(self):
         rib = rib_of(("01", 4))
-        slots = builder.expand_chunk(rib.root, NO_ROUTE, k=2)
+        slots = builder.expand_chunk(rib, ROOT, NO_ROUTE, k=2)
         assert slots == [NO_ROUTE, 4, NO_ROUTE, NO_ROUTE]
 
     def test_deeper_route_creates_internal_slot(self):
         rib = rib_of(("011", 4))
-        slots = builder.expand_chunk(rib.root, NO_ROUTE, k=2)
+        slots = builder.expand_chunk(rib, ROOT, NO_ROUTE, k=2)
         assert isinstance(slots[1], tuple)  # slot 01 has a subtree
         node, inherited = slots[1]
         assert inherited == NO_ROUTE
 
     def test_internal_slot_inherits_path_route(self):
         rib = rib_of(("0", 8), ("011", 4))
-        slots = builder.expand_chunk(rib.root, NO_ROUTE, k=2)
+        slots = builder.expand_chunk(rib, ROOT, NO_ROUTE, k=2)
         node, inherited = slots[1]
         assert inherited == 8  # the /1 route covers the subtree
 
     def test_chunk_boundary_route_inherits_into_child(self):
         rib = rib_of(("01", 6), ("0111", 4))
-        slots = builder.expand_chunk(rib.root, NO_ROUTE, k=2)
+        slots = builder.expand_chunk(rib, ROOT, NO_ROUTE, k=2)
         node, inherited = slots[1]
         assert inherited == 6  # the route exactly at the boundary
 
@@ -57,7 +57,7 @@ class TestExpandChunk:
 class TestMakeShallow:
     def test_vector_bits(self):
         rib = rib_of(("011", 4), ("111", 5))
-        slots = builder.expand_chunk(rib.root, NO_ROUTE, k=2)
+        slots = builder.expand_chunk(rib, ROOT, NO_ROUTE, k=2)
         tmp = builder.make_shallow(slots, use_leafvec=True)
         assert tmp.vector == 0b1010  # slots 1 and 3 internal
 
@@ -103,7 +103,7 @@ class TestMakeShallow:
 class TestExpandNode:
     def test_counts(self):
         rib = rib_of(("01", 1), ("0111", 2), ("10", 3))
-        tmp = builder.expand_node(rib.root, NO_ROUTE, k=2, use_leafvec=True)
+        tmp = builder.expand_node(rib, ROOT, NO_ROUTE, k=2, use_leafvec=True)
         inodes, leaves = tmp.count_nodes()
         assert inodes == 2  # root + the subtree under slot 01
         assert leaves >= 3
@@ -111,8 +111,8 @@ class TestExpandNode:
     def test_shallow_signature_changes_with_structure(self):
         rib1 = rib_of(("01", 1))
         rib2 = rib_of(("011", 1))
-        t1 = builder.expand_node(rib1.root, NO_ROUTE, 2, True)
-        t2 = builder.expand_node(rib2.root, NO_ROUTE, 2, True)
+        t1 = builder.expand_node(rib1, ROOT, NO_ROUTE, 2, True)
+        t2 = builder.expand_node(rib2, ROOT, NO_ROUTE, 2, True)
         assert t1.shallow_signature() != t2.shallow_signature()
 
 
@@ -145,7 +145,7 @@ class _ArrayTarget:
 class TestSerializer:
     def test_children_are_contiguous(self):
         rib = rib_of(("000001", 1), ("010001", 2), ("100001", 3), ("110001", 4))
-        tmp = builder.expand_node(rib.root, NO_ROUTE, k=2, use_leafvec=True)
+        tmp = builder.expand_node(rib, ROOT, NO_ROUTE, k=2, use_leafvec=True)
         target = _ArrayTarget()
         root = builder.Serializer(target).serialize(tmp)
         vector, _, _, base1 = target.nodes[root]
@@ -156,7 +156,7 @@ class TestSerializer:
 
     def test_leaves_are_contiguous_and_written(self):
         rib = rib_of(("00", 1), ("01", 2))
-        tmp = builder.expand_node(rib.root, NO_ROUTE, k=2, use_leafvec=True)
+        tmp = builder.expand_node(rib, ROOT, NO_ROUTE, k=2, use_leafvec=True)
         target = _ArrayTarget()
         root = builder.Serializer(target).serialize(tmp)
         _, leafvec, base0, _ = target.nodes[root]
@@ -166,7 +166,7 @@ class TestSerializer:
 
     def test_written_counters(self):
         rib = rib_of(("0101", 1),)
-        tmp = builder.expand_node(rib.root, NO_ROUTE, k=2, use_leafvec=True)
+        tmp = builder.expand_node(rib, ROOT, NO_ROUTE, k=2, use_leafvec=True)
         target = _ArrayTarget()
         serializer = builder.Serializer(target)
         serializer.serialize(tmp)

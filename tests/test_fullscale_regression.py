@@ -2,8 +2,10 @@
 
 Pins the full-scale numbers EXPERIMENTS.md quotes against the paper, so
 a future change to the table generator or the builders that silently
-drifts them gets caught.  Skipped by default — generating the 531k-route
-table and compiling every structure takes ~2 minutes.
+drifts them gets caught.  It also checks that a full-scale RIB keeps
+its radix nodes in columns, not objects.  Skipped by default —
+generating the 531k-route table and compiling every structure takes
+~2 minutes.
 
 Run with:  REPRO_FULL=1 pytest tests/test_fullscale_regression.py
 """
@@ -66,3 +68,22 @@ def test_syn2_breaks_sail(full_dataset):
     syn2 = expand_syn2(full_dataset.rib)
     with pytest.raises(StructuralLimitError):
         Sail.from_rib(syn2)
+
+
+def test_p46_rib_holds_no_per_node_objects(tmp_path):
+    """The RV-linx-p46 table (518k routes, ~1.47M radix nodes) loads from
+    its image into the RIB's node columns, not one object per node."""
+    import gc
+
+    from repro.data import tableio
+    from repro.data.datasets import load_dataset
+
+    path = str(tmp_path / "p46.img")
+    tableio.save_table_image(load_dataset("RV-linx-p46", scale=1.0).rib, path)
+    gc.collect()
+    before = len(gc.get_objects())
+    rib = tableio.load_table(path)
+    gc.collect()
+    assert len(rib) == 518231
+    assert rib.node_count > 1_000_000
+    assert len(gc.get_objects()) - before < 1_000

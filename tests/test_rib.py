@@ -1,14 +1,17 @@
 """Unit tests for the radix-tree RIB."""
 
+import gc
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import make_random_rib, naive_lpm, random_keys
 
+from repro.data import tableio
 from repro.net.prefix import Prefix
-from repro.net.rib import Rib, descend, expand, rib_from_routes
+from repro.net.rib import ROOT, Rib, rib_from_routes
 from repro.net.values import NO_ROUTE
 
 
@@ -160,24 +163,29 @@ class TestWalking:
         assert rib.best_route_on_path(Prefix.parse("10.1.0.0/16")) == 1
 
 
-def _bit_walk(node, inherited, value, bits):
-    """Reference descent: one ``child()`` call per bit, MSB first."""
+def _bit_walk(rib, node, inherited, value, bits):
+    """Reference descent: one column read per bit, MSB first."""
     for i in range(bits):
         if node is None:
             break
-        if node.route != NO_ROUTE:
-            inherited = node.route
-        node = node.child((value >> (bits - 1 - i)) & 1)
+        if rib.route[node] != NO_ROUTE:
+            inherited = rib.route[node]
+        bit = (value >> (bits - 1 - i)) & 1
+        node = (rib.right if bit else rib.left)[node] or None
     return node, inherited
 
 
+def _is_leaf(rib, node):
+    return not (rib.left[node] or rib.right[node])
+
+
 class TestExpand:
-    """``expand`` (controlled prefix expansion) and ``descend`` (one
-    key's path), the two walks every stride-based builder shares."""
+    """``Rib.expand`` (controlled prefix expansion) and ``Rib.descend``
+    (one key's path), the two walks every stride-based builder shares."""
 
     @staticmethod
-    def _check_runs(node, inherited, stride):
-        runs = list(expand(node, inherited, stride))
+    def _check_runs(rib, node, inherited, stride):
+        runs = list(rib.expand(node, inherited, stride))
         at = 0
         for base, span, next_hop, subtree in runs:
             # Ascending and contiguous, in slot order.
@@ -186,15 +194,15 @@ class TestExpand:
             # The run carries the best route on its slot's path, and a
             # subtree exactly where that path ends on a node with
             # children at depth ``stride``.
-            reached, hop = descend(node, inherited, base, stride)
-            if reached is not None and reached.route != NO_ROUTE:
-                hop = reached.route
+            reached, hop = rib.descend(node, inherited, base, stride)
+            if reached is not None and rib.route[reached] != NO_ROUTE:
+                hop = rib.route[reached]
             assert next_hop == hop
             if subtree is not None:
-                assert span == 1 and subtree is reached
-                assert not subtree.is_leaf()
+                assert span == 1 and subtree == reached
+                assert not _is_leaf(rib, subtree)
             else:
-                assert reached is None or reached.is_leaf()
+                assert reached is None or _is_leaf(rib, reached)
         assert at == 1 << stride
         return runs
 
@@ -217,7 +225,7 @@ class TestExpand:
         # From the root, every run without a subtree answers the LPM of
         # its first address.
         for base, _, next_hop, subtree in self._check_runs(
-            rib.root, NO_ROUTE, stride
+            rib, ROOT, NO_ROUTE, stride
         ):
             if subtree is None:
                 assert next_hop == rib.lookup(base << (width - stride))
@@ -226,18 +234,18 @@ class TestExpand:
         routes = [prefix for prefix, _ in rib.routes()]
         for prefix in rng.sample(routes, min(len(routes), 4)):
             depth = rng.randint(0, min(prefix.length, width - stride))
-            node, _ = descend(
-                rib.root, NO_ROUTE, prefix.value >> (width - depth), depth
+            node, _ = rib.descend(
+                ROOT, NO_ROUTE, prefix.value >> (width - depth), depth
             )
-            self._check_runs(node, inherited, stride)
+            self._check_runs(rib, node, inherited, stride)
 
     def test_missing_and_childless_nodes_are_one_run(self):
-        assert list(expand(None, 7, 6)) == [(0, 64, 7, None)]
         rib = Rib()
+        assert list(rib.expand(None, 7, 6)) == [(0, 64, 7, None)]
         rib.insert(Prefix.parse("10.0.0.0/8"), 3)
         node = rib.node_at(Prefix.parse("10.0.0.0/8"))
-        assert list(expand(node, 1, 4)) == [(0, 16, 3, None)]
-        assert list(expand(rib.root, NO_ROUTE, 0)) == [(0, 1, 0, rib.root)]
+        assert list(rib.expand(node, 1, 4)) == [(0, 16, 3, None)]
+        assert list(rib.expand(ROOT, NO_ROUTE, 0)) == [(0, 1, 0, ROOT)]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -258,8 +266,8 @@ class TestExpand:
             else:
                 bits = rng.randint(0, width)
                 value = rng.getrandbits(bits) if bits else 0
-            assert descend(rib.root, inherited, value, bits) == _bit_walk(
-                rib.root, inherited, value, bits
+            assert rib.descend(ROOT, inherited, value, bits) == _bit_walk(
+                rib, ROOT, inherited, value, bits
             )
 
 
@@ -287,9 +295,17 @@ class TestBulkBuild:
         assert bulk.node_count == rib.node_count
 
     def test_route_columns_match_routes(self):
-        rib = make_random_rib(200, seed=62)
-        assert rib.route_columns() == self._columns(rib)
-        assert Rib().route_columns() == ([], [], [])
+        for width in (32, 128):
+            rib = make_random_rib(200, seed=62, width=width)
+            hi, lo, lengths, fib_indices = rib.route_columns()
+            assert [c.dtype for c in (hi, lo, lengths, fib_indices)] == [
+                np.uint64, np.uint64, np.uint8, np.uint32
+            ]
+            values = [(h << 64) | v for h, v in zip(hi.tolist(), lo.tolist())]
+            assert (values, lengths.tolist(), fib_indices.tolist()) == (
+                self._columns(rib)
+            )
+        assert [len(c) for c in Rib().route_columns()] == [0, 0, 0, 0]
 
     def test_max_fib_index(self):
         rib = make_random_rib(200, seed=63, max_nexthop=900)
@@ -339,6 +355,110 @@ class TestBulkBuild:
         rib.insert(Prefix.parse("10.0.0.0/8"), 1)
         with pytest.raises(ValueError, match="empty"):
             rib.load_sorted([], [], [])
+
+
+def _path_prefixes(prefixes, width):
+    """Every ``(value, depth)`` on the path to some prefix: the nodes a
+    pruned radix tree holds."""
+    nodes = {(0, 0)}
+    for prefix in prefixes:
+        for depth in range(1, prefix.length + 1):
+            nodes.add((prefix.value >> (width - depth), depth))
+    return nodes
+
+
+class TestColumns:
+    """The node columns against a dict model of the routes."""
+
+    @staticmethod
+    def _random_updates(rib, rng, steps, max_fib, check=None):
+        """Insert/delete ``steps`` random routes on ``rib`` and a dict
+        model; prefixes share a few stems, so deletes prune shared paths
+        and inserts reuse freed ids.  Returns the model and the peak live
+        node count."""
+        width = rib.width
+        stems = [rng.getrandbits(width) for _ in range(3)]
+        model, peak = {}, rib.node_count
+        for _ in range(steps):
+            if model and rng.random() < 0.45:
+                prefix = rng.choice(list(model))
+                assert rib.delete(prefix) == model.pop(prefix)
+            else:
+                length = rng.choice([0, 1, 2, 5, 9, width // 2, width - 1, width])
+                mask = ((1 << length) - 1) << (width - length)
+                prefix = Prefix(rng.choice(stems) & mask, length, width)
+                fib_index = rng.randint(1, max_fib)
+                assert rib.insert(prefix, fib_index) == model.get(prefix, NO_ROUTE)
+                model[prefix] = fib_index
+            peak = max(peak, rib.node_count)
+            if check is not None:
+                check(rib)
+        return model, peak
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        width=st.sampled_from([32, 128]),
+        seed=st.integers(min_value=0, max_value=1_000_000),
+        steps=st.integers(min_value=1, max_value=120),
+    )
+    def test_random_updates_match_a_dict_model(self, width, seed, steps):
+        rng = random.Random(seed)
+        rib = Rib(width=width)
+        model, peak = self._random_updates(rib, rng, steps, max_fib=40)
+        assert len(rib) == len(model)
+        assert list(rib.routes()) == sorted(model.items())
+        for prefix, fib_index in model.items():
+            assert rib.get(prefix) == fib_index
+        routes = sorted(model.items())
+        keys = [p.value for p in model] + [rng.getrandbits(width) for _ in range(50)]
+        for key in keys:
+            assert rib.lookup(key) == naive_lpm(routes, key)
+        # Pruning keeps exactly the nodes on some route's path, and
+        # freed ids are reused before the columns grow.
+        assert rib.node_count == len(_path_prefixes(model, width))
+        assert len(rib.left) == len(rib.right) == len(rib.route) <= peak
+        # A bulk load of the same routes builds the same tree.
+        columns = (
+            [p.value for p, _ in routes],
+            [p.length for p, _ in routes],
+            [fib_index for _, fib_index in routes],
+        )
+        bulk = Rib(width=width)
+        bulk.load_sorted(*columns)
+        assert list(bulk.routes()) == list(rib.routes())
+        assert bulk.node_count == rib.node_count
+        # An emptied RIB loads afresh, dropping the ids it freed.
+        for prefix in model:
+            rib.delete(prefix)
+        rib.load_sorted(*columns)
+        assert list(rib.routes()) == routes
+        assert rib.node_count == len(rib.left) == bulk.node_count
+        assert rib.max_fib_index() == bulk.max_fib_index()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        width=st.sampled_from([32, 128]),
+        seed=st.integers(min_value=0, max_value=1_000_000),
+    )
+    def test_max_fib_index_tracks_updates(self, width, seed):
+        def check(rib):
+            assert rib.max_fib_index() == max(
+                (f for _, f in rib.routes()), default=NO_ROUTE
+            )
+
+        self._random_updates(
+            Rib(width=width), random.Random(seed), 80, max_fib=6, check=check
+        )
+
+    def test_a_loaded_image_holds_no_per_node_objects(self, tmp_path):
+        path = str(tmp_path / "rib.img")
+        tableio.save_table_image(make_random_rib(50_000, seed=64), path)
+        gc.collect()
+        before = len(gc.get_objects())
+        rib = tableio.load_table(path)
+        gc.collect()
+        assert len(rib) == 50_000 and rib.node_count > 100_000
+        assert len(gc.get_objects()) - before < 1_000
 
 
 class TestMemory:

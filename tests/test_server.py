@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -234,6 +235,32 @@ class TestLookupServer:
                 await server.stop()
 
         asyncio.run(scenario())
+
+    def test_describe_states_the_window_the_loop_waits(self):
+        from repro.server.service import SELECTOR_GRANULARITY_US
+
+        settings = (0.0, 200.0, 1000.0, 1500.0)
+        if SELECTOR_GRANULARITY_US == 1000.0:  # epoll / poll
+            expected = [0.0, 1000.0, 1000.0, 2000.0]
+        else:
+            expected = list(settings)
+        handle = TableHandle(Poptrie.from_rib(small_rib()))
+        windows = []
+        for max_wait_us in settings:
+            config = LookupServer(
+                handle, ServerConfig(max_wait_us=max_wait_us)
+            ).describe()["config"]
+            assert config["max_wait_us"] == max_wait_us
+            windows.append(config["effective_wait_us"])
+        assert windows == expected
+
+        async def window_s():
+            started = time.perf_counter()
+            await asyncio.sleep(200e-6)
+            return time.perf_counter() - started
+
+        # The dispatcher's sleep really lasts the reported window.
+        assert asyncio.run(window_s()) >= 0.9 * expected[1] / 1e6
 
     def test_wrong_family_and_unsupported_reload(self):
         async def scenario():
