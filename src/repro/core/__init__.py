@@ -6,8 +6,8 @@
 - :mod:`repro.core.builder` — compilation from the radix-tree RIB
   (controlled prefix expansion and node serialization).
 - :mod:`repro.core.update` — the surgery of incremental, swap-on-commit
-  updates (Section 3.5), driven by
-  :class:`repro.robust.txn.TransactionalPoptrie`.
+  updates (Section 3.5), which ``Poptrie._stage`` runs one message at a
+  time.
 - :mod:`repro.core.aggregate` — route aggregation (the FIB compression the
   paper applies before compilation) plus an optimal ORTC variant.
 

@@ -111,7 +111,12 @@ def expand_node(
     expansion).
     """
     slots = expand_chunk(rib, node, inherited, k)
-    tmp = make_shallow(slots, use_leafvec)
+    return expand_children(rib, make_shallow(slots, use_leafvec), k, use_leafvec)
+
+
+def expand_children(rib: Rib, tmp: TmpNode, k: int, use_leafvec: bool) -> TmpNode:
+    """Expand the children a :func:`make_shallow` node left as markers;
+    returns ``tmp``, now the root of a whole TmpNode tree."""
     tmp.children = [
         expand_node(rib, child, child_inherited, k, use_leafvec)
         for child, child_inherited in tmp.children  # type: ignore[misc]

@@ -85,9 +85,9 @@ class PoptrieConfig(StructureConfig):
 class Poptrie(LookupStructure):
     """The Poptrie lookup structure.
 
-    Build one with :meth:`from_rib` (or through
-    :class:`repro.robust.txn.TransactionalPoptrie` when incremental updates
-    are needed):
+    Build one with :meth:`from_rib`; once bound to its RIB it takes
+    §3.5's incremental updates through :meth:`apply_updates` (or one at
+    a time through :class:`repro.robust.txn.TransactionalPoptrie`):
 
     >>> from repro.net.rib import Rib
     >>> from repro.net.prefix import Prefix
@@ -136,6 +136,11 @@ class Poptrie(LookupStructure):
         #: leaves" (buddy blocks may be rounded up beyond these).
         self.inode_count = 0
         self.leaf_count = 0
+
+        #: Kept by :meth:`_stage`'s publish (generation: +1 per change).
+        self.update_stats = UpdateStats()
+        self.txn_stats = TxnStats()
+        self.generation = 0
 
         # Virtual addresses for cache-simulation traces.
         self.memmap = MemoryMap()
@@ -275,20 +280,25 @@ class Poptrie(LookupStructure):
         else:
             index = self.root_index
             shift = self._padded_width - k
+        # Every array is read before the first call: a staged rebuild
+        # publishes a whole new state with one ``__dict__`` rebind, and
+        # CPython switches threads only at calls and backward jumps, so a
+        # concurrent lookup walks the old arrays or the new, never a mix.
+        base1, base0, lvec, leaves = self.base1, self.base0, self.lvec, self.leaves
         keyp = key << self._pad
         vector = vec[index]
         v = (keyp >> shift) & kmask
         while (vector >> v) & 1:
             bc = (vector & ((2 << v) - 1)).bit_count()
-            index = self.base1[index] + bc - 1
+            index = base1[index] + bc - 1
             vector = vec[index]
             shift -= k
             v = (keyp >> shift) & kmask
         if self.config.use_leafvec:
-            bc = (self.lvec[index] & ((2 << v) - 1)).bit_count()
+            bc = (lvec[index] & ((2 << v) - 1)).bit_count()
         else:
             bc = ((~vector) & ((2 << v) - 1)).bit_count()
-        return self.leaves[self.base0[index] + bc - 1]
+        return leaves[base0[index] + bc - 1]
 
     def lookup_traced(self, key: int, trace: AccessTrace) -> int:
         """Like :meth:`lookup` but records every memory access and an
@@ -441,30 +451,80 @@ class Poptrie(LookupStructure):
 
     # -- incremental updates -------------------------------------------------
 
-    def _stage(self, updates: list, positions: list, report) -> Staged:
-        """Nothing is staged ahead: publish runs §3.5's per-update
-        transactions (undo log, rebuild fallback adopted back into
-        ``self``) through a cached
-        :class:`~repro.robust.txn.TransactionalPoptrie` over this trie."""
-        from repro.robust.txn import TransactionalPoptrie
+    def _stage(self, updates: list, positions: list, report) -> Optional[Staged]:
+        """Stage a checked message before the journal (§3.5): fold it into
+        the RIB, stage its regions into free buddy blocks under a restore
+        point per allocator; a failed stage, or a patch writing more
+        internal nodes than the trie holds, falls back to a staged rebuild;
+        if that fails too, unfold and refuse every position."""
+        rib, count, stats = self.rib, len(updates), self.txn_stats
+        undo = fold_updates(rib, updates)
+        changed = []
+        for update, (_, was) in zip(updates, undo):
+            if update.kind == "W" or was != update.nexthop:
+                changed.append(update.prefix)
+        node_alloc, leaf_alloc = self.node_alloc, self.leaf_alloc
+        counts = (self.inode_count, self.leaf_count)
+        points = (node_alloc.snapshot(), leaf_alloc.snapshot())
 
-        engine = self.__dict__.get("_txn_engine")
-        if engine is None or engine.rib is not self.rib:
-            engine = TransactionalPoptrie(
-                self.config, width=self.width, rib=self.rib, trie=self,
-            )
-            self.__dict__["_txn_engine"] = engine
+        def restore() -> None:
+            node_alloc.restore(points[0])
+            leaf_alloc.restore(points[1])
+            self.inode_count, self.leaf_count = counts
 
-        def publish() -> None:
-            applied = report.applied
-            engine._apply_checked(updates, positions, report)
-            if engine.trie is not self:
-                self._adopt_state(engine.trie)
-                self.__dict__["_txn_engine"] = engine
-                engine.trie = self
-            self._updates_applied += report.applied - applied
+        patch = None
+        try:
+            patch = stage(self, rib, changed)
+        except Exception:
+            restore()
+        else:
+            if patch.inodes <= counts[0]:
 
-        return Staged(publish)
+                def publish() -> None:
+                    node_alloc.close(points[0])
+                    leaf_alloc.close(points[1])
+                    if changed:
+                        commit(self, patch, self.update_stats, len(changed))
+                        self.generation += 1
+                    stats.commits += count
+                    _count_txn("commit", count)
+                    self._updates_applied += count
+                    report.applied += count
+
+                def abandon() -> None:
+                    restore()
+                    unfold_updates(rib, undo)
+
+                return Staged(publish, abandon)
+            restore()
+        try:
+            with span("txn.rebuild"):
+                rebuilt = type(self).from_rib(rib, self.config)
+        except Exception as error:
+            unfold_updates(rib, undo)
+            stats.rollbacks += count
+            _count_txn("rollback", count)
+            for position in positions:
+                report.refuse(position, error)
+            return None
+
+        def publish_rebuild() -> None:
+            if patch is None:
+                stats.fallback_rebuilds += count
+                _count_txn("fallback_rebuild", count)
+            else:
+                stats.threshold_rebuilds += count
+                _count_txn("threshold_rebuild", count)
+            self._updates_applied += count
+            report.applied += count
+            report.degraded += count
+            self.update_stats.updates += len(changed)
+            _publish_update_obs(len(changed), 0, 0, 0, engine="rebuild")
+            rebuilt.update_stats, rebuilt.txn_stats = self.update_stats, stats
+            rebuilt.generation = self.generation + 1
+            self._adopt_state(rebuilt)
+
+        return Staged(publish_rebuild, lambda: unfold_updates(rib, undo))
 
     # -- self-verification -------------------------------------------------
 
@@ -709,6 +769,12 @@ def validate(trie: Poptrie) -> None:
         if leaf_count and trie.base0[index] + leaf_count > leaf_limit:
             raise SnapshotFormatError(f"leaf block of node {index} overflows")
 
+
+# Imported last: core.update imports Poptrie; data.updates must follow lookup.base.
+from repro.core.update import (  # noqa: E402
+    TxnStats, UpdateStats, _count_txn, _publish_update_obs, commit, stage,
+)
+from repro.data.updates import fold_updates, unfold_updates  # noqa: E402
 
 # The paper's evaluated variants (Table 2/Figure 9): compiled from the
 # route-aggregated table, with the FIB size validated against the leaf

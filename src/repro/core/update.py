@@ -4,19 +4,18 @@ The paper's update protocol builds the replacement part of the trie on the
 side, then publishes it with a single atomic pointer/index write so readers
 never observe a half-built structure.  This module holds that surgery as
 functions of a compiled :class:`~repro.core.poptrie.Poptrie` and the RIB it
-was compiled from; :class:`repro.robust.txn.TransactionalPoptrie` is the
-one engine that drives them, one transaction per update.
+was compiled from; ``Poptrie._stage`` drives them, one message at a time.
 
-- :func:`stage` runs after the RIB already holds the update.  It builds
-  the replacement subtree entirely on the side — fresh buddy-allocator
+- :func:`stage` runs after the RIB already holds a message.  It groups
+  the message's prefixes into disjoint regions and, for each region,
+  builds the replacement subtree entirely on the side — fresh buddy-allocator
   blocks, children emitted before parents — and records the writes that
   would publish it in a :class:`_Patch` without touching anything a reader
   can see.  An exception during staging therefore leaves the visible
   structure untouched: rolling back only has to return the allocators and
-  counters to their pre-update state.
-- :func:`commit` applies those writes (one node write or a run of
-  direct-array entries), counts the replacements in :class:`UpdateStats`,
-  and only then frees the blocks of the replaced subtree.
+  counters to their pre-stage state.
+- :func:`commit` applies the patch's writes, counts the replacements in
+  :class:`UpdateStats`, and only then frees the replaced blocks.
 - The rebuild descends the chunk path while the node's ``(vector,
   leafvec)`` signature is unchanged — those nodes are kept and only a child
   pointer swap is needed — and rebuilds the deepest subtree whose shape
@@ -29,13 +28,14 @@ one engine that drives them, one transaction per update.
 
 :class:`UpdateStats` mirrors the quantities reported in Section 4.9: how
 many internal nodes, leaves and top-level entries each update replaced.
+:class:`TxnStats` counts how each update ended.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.core import builder
 from repro.core.poptrie import DIRECT_LEAF, Poptrie
@@ -64,17 +64,40 @@ class UpdateStats:
 
 
 @dataclass
-class _Patch:
-    """The staged, not-yet-visible result of one incremental update.
+class TxnStats:
+    """How each update ended, as ``repro_txn_outcomes_total`` counts it
+    (docs/OBSERVABILITY.md)."""
 
-    Everything a commit needs: the single in-place node write that
-    republishes a rebuilt subtree (``node_write``), the direct-array entry
-    writes and range fills, the blocks of the replaced subtree to free
-    *after* publication, and the replacement counts for
-    :class:`UpdateStats`.
+    commits: int = 0
+    rollbacks: int = 0
+    fallback_rebuilds: int = 0
+    threshold_rebuilds: int = 0
+    rejected: int = 0
+
+
+def _count_txn(outcome: str, count: int = 1) -> None:
+    """Count ``count`` updates' outcome in the metrics registry (the null
+    registry's no-op counter while observability is disabled)."""
+    from repro import obs
+
+    obs.registry().counter(
+        "repro_txn_outcomes_total",
+        "Transactional update outcomes by kind.",
+        outcome=outcome,
+    ).inc(count)
+
+
+@dataclass
+class _Patch:
+    """The staged, not-yet-visible result of one message.
+
+    Everything a commit needs: the in-place node writes that republish
+    rebuilt subtrees (``node_writes``), the direct-array entry writes and
+    range fills, the blocks of the replaced subtrees to free *after*
+    publication, and the replacement counts for :class:`UpdateStats`.
     """
 
-    node_write: Optional[Tuple[int, int, int, int, int]] = None
+    node_writes: List[Tuple[int, int, int, int, int]] = field(default_factory=list)
     direct_writes: List[Tuple[int, int]] = field(default_factory=list)
     direct_fills: List[Tuple[int, int, int]] = field(default_factory=list)
     frees: List[Tuple[str, int, int]] = field(default_factory=list)
@@ -83,53 +106,117 @@ class _Patch:
     leaves: int = 0
 
 
-def stage(trie: Poptrie, rib: Rib, prefix: Prefix) -> _Patch:
-    """Build the replacement for the part of ``trie`` that ``prefix``
-    covers, as ``rib`` now has it, on the side; nothing visible yet.
+def stage(trie: Poptrie, rib: Rib, prefixes: Iterable[Prefix]) -> _Patch:
+    """Build the replacement for each disjoint region ``prefixes`` touch,
+    as ``rib`` now has it, on the side (nothing visible yet), once per
+    region, along the longest common prefix of its members.
 
     >>> rib = Rib()
     >>> trie = Poptrie.from_rib(rib)
     >>> rib.insert(Prefix.parse("10.0.0.0/24"), 1)  # the RIB first
     0
-    >>> patch = stage(trie, rib, Prefix.parse("10.0.0.0/24"))
+    >>> patch = stage(trie, rib, [Prefix.parse("10.0.0.0/24")])
     >>> trie.lookup(Prefix.parse("10.0.0.1/32").value)  # not published yet
     0
     >>> stats = UpdateStats()
-    >>> commit(trie, patch, stats)
+    >>> commit(trie, patch, stats, updates=1)
     >>> trie.lookup(Prefix.parse("10.0.0.1/32").value), stats.updates
     (1, 1)
     """
     patch = _Patch()
-    if trie.s and prefix.length <= trie.s:
-        _stage_toplevel_range(trie, rib, prefix, patch)
-    elif trie.s:
-        _stage_direct_entry(trie, rib, prefix, patch)
-    else:
-        _stage_refine(trie, rib, trie.root_index, ROOT, NO_ROUTE, 0, prefix, patch)
+    prefixes = list(prefixes)
+    regions = [prefixes] if len(prefixes) == 1 else _regions(trie, rib, prefixes)
+    for members in regions:
+        prefix = members[0] if len(members) == 1 else _common_prefix(members)
+        if trie.s and prefix.length <= trie.s:
+            _stage_toplevel_range(trie, rib, prefix, patch)
+        elif trie.s:
+            _stage_direct_entry(trie, rib, prefix, patch)
+        else:
+            _stage_refine(
+                trie, rib, trie.root_index, ROOT, NO_ROUTE, 0, prefix, patch
+            )
     return patch
 
 
-def commit(trie: Poptrie, patch: _Patch, stats: UpdateStats) -> None:
-    """Publish a staged patch, count it, then release the replaced blocks.
+def _regions(
+    trie: Poptrie, rib: Rib, prefixes: List[Prefix]
+) -> List[List[Prefix]]:
+    """Disjoint regions: a prefix of length ≤ s claims its direct slice
+    and every member inside it, the rest group by direct index (at s = 0,
+    by :func:`_nested_regions`)."""
+    if not trie.s:
+        return _nested_regions(trie, rib, prefixes)
+    s, shift = trie.s, trie.width - trie.s
+    regions: List[List[Prefix]] = []
+    end = -1
+    # Slices nest or are disjoint: the widest one at an index comes first.
+    for prefix in sorted(prefixes, key=lambda p: (p.value >> shift, p.length)):
+        index = prefix.value >> shift
+        if index >= end:
+            regions.append([])
+            end = index + (1 << max(s - prefix.length, 0))
+        regions[-1].append(prefix)
+    return regions
+
+
+def _nested_regions(
+    trie: Poptrie, rib: Rib, prefixes: List[Prefix]
+) -> List[List[Prefix]]:
+    """Merge groups while one's rebuilt subtree (the end of its
+    :func:`_descend` path) lies on another's path, then descend again."""
+    done: List[Tuple[List[Prefix], List[int]]] = []
+    pending = [[prefix] for prefix in prefixes]
+    while pending:
+        group = pending.pop()
+        path = _descend(trie, rib, trie.root_index, ROOT, NO_ROUTE, 0,
+                        _common_prefix(group))[0]
+        nested = [
+            i for i, (_, other) in enumerate(done)
+            if path[-1] in other or other[-1] in path
+        ]
+        if not nested:
+            done.append((group, path))
+            continue
+        for i in reversed(nested):
+            group += done.pop(i)[0]
+        pending.append(group)
+    return [group for group, _ in done]
+
+
+def _common_prefix(prefixes: List[Prefix]) -> Prefix:
+    """The longest prefix that contains every one of ``prefixes``."""
+    first = prefixes[0]
+    width = first.width
+    length = min(prefix.length for prefix in prefixes)
+    for prefix in prefixes[1:]:
+        length -= ((first.value ^ prefix.value) >> (width - length)).bit_length()
+    shift = width - length
+    return Prefix(first.value >> shift << shift, length, width)
+
+
+def commit(trie: Poptrie, patch: _Patch, stats: UpdateStats, updates: int) -> None:
+    """Publish a staged patch, count it as ``updates`` updates, then
+    release the replaced blocks.
 
     The only writes a reader can observe happen here, and each is
-    individually atomic under the GIL: the single root-node write that
-    swings a rebuilt subtree in, and direct-array entry stores whose old
-    and new targets are both complete structures throughout.  No fault
-    point fires here.
+    individually atomic under the GIL: the root-node writes that swing
+    rebuilt subtrees in, and direct-array entry stores whose old and new
+    targets are both complete structures throughout.  No fault point
+    fires here.
     """
-    if patch.node_write is not None:
-        trie.write_node(*patch.node_write)
+    for write in patch.node_writes:
+        trie.write_node(*write)
     direct = trie.direct
     for index, value in patch.direct_writes:
         direct[index] = value
     for base, span, value in patch.direct_fills:
         direct[base : base + span] = array("I", [value]) * span
-    stats.updates += 1
+    stats.updates += updates
     stats.toplevel_replacements += patch.toplevel
     stats.inodes_replaced += patch.inodes
     stats.leaves_replaced += patch.leaves
-    _publish_update_obs(patch.toplevel, patch.inodes, patch.leaves)
+    _publish_update_obs(updates, patch.toplevel, patch.inodes, patch.leaves)
     for kind, offset, count in patch.frees:
         if kind == "nodes":
             trie.free_nodes(offset, count)
@@ -138,9 +225,10 @@ def commit(trie: Poptrie, patch: _Patch, stats: UpdateStats) -> None:
 
 
 def _publish_update_obs(
-    toplevel: int, inodes: int, leaves: int, engine: str = "incremental",
+    updates: int, toplevel: int, inodes: int, leaves: int,
+    engine: str = "incremental",
 ) -> None:
-    """Mirror one committed update into the metrics registry (§4.9's
+    """Mirror published updates into the metrics registry (§4.9's
     replacement quantities); a no-op while observability is disabled."""
     from repro import obs
 
@@ -149,7 +237,7 @@ def _publish_update_obs(
     reg = obs.registry()
     reg.counter(
         "repro_updates_total", "Committed route updates.", engine=engine
-    ).inc()
+    ).inc(updates)
     reg.counter(
         "repro_update_toplevel_replacements_total",
         "Direct-array entries rewritten by updates.",
@@ -210,7 +298,7 @@ def _stage_toplevel_range(
             patch.direct_writes.append((at, DIRECT_LEAF | next_hop))
         else:
             patch.direct_fills.append((at, span, DIRECT_LEAF | next_hop))
-    patch.toplevel = 1
+    patch.toplevel += 1
 
 
 def _stage_direct_entry(
@@ -256,35 +344,46 @@ def _stage_refine(
     patch: _Patch,
 ) -> None:
     """Descend while the node's shape is unchanged, then stage a rebuild
-    of the deepest affected subtree in place at ``index``."""
+    of the deepest affected subtree in place at its root."""
+    path, shallow = _descend(trie, rib, index, rnode, inherited, offset, prefix)
+    index = path[-1]
+    # Stage the in-place replacement: emit the new subtree's descendants
+    # into fresh blocks, keep the root slot, and defer the root write —
+    # the single atomic publication — to the commit phase.
+    patch.frees.extend(_collect_blocks(trie, index))
+    tmp = builder.expand_children(rib, shallow, trie.k, trie.config.use_leafvec)
+    serializer = builder.Serializer(trie)
+    fields = serializer.serialize_fields(tmp)
+    patch.node_writes.append((index, *fields))
+    patch.inodes += serializer.nodes_written
+    patch.leaves += serializer.leaves_written
+
+
+def _descend(
+    trie: Poptrie, rib: Rib, index: int, rnode: Optional[int], inherited: int,
+    offset: int, prefix: Prefix,
+) -> Tuple[List[int], builder.TmpNode]:
+    """Follow ``prefix`` down from node ``index`` while each node's
+    shape is unchanged; the nodes visited (the last is the root of the
+    subtree to rebuild) and that root's new shallow node."""
     k = trie.k
     use_leafvec = trie.config.use_leafvec
+    path = [index]
     while True:
         slots = builder.expand_chunk(rib, rnode, inherited, k)
         shallow = builder.make_shallow(slots, use_leafvec)
         old_sig = (trie.vec[index], trie.lvec[index] if use_leafvec else 0)
-        if shallow.shallow_signature() != old_sig:
-            break
-        if prefix.length <= offset + k:
+        if shallow.shallow_signature() != old_sig or prefix.length <= offset + k:
             break
         v = _chunk_of(prefix, offset, k)
         if not (trie.vec[index] >> v) & 1:
             break
         rank = (trie.vec[index] & ((2 << v) - 1)).bit_count() - 1
-        child_index = trie.base1[index] + rank
         rnode, inherited = rib.descend(rnode, inherited, v, k)
-        index = child_index
+        index = trie.base1[index] + rank
+        path.append(index)
         offset += k
-    # Stage the in-place replacement: emit the new subtree's descendants
-    # into fresh blocks, keep the root slot, and defer the root write —
-    # the single atomic publication — to the commit phase.
-    patch.frees.extend(_collect_blocks(trie, index))
-    tmp = builder.expand_node(rib, rnode, inherited, k, use_leafvec)
-    serializer = builder.Serializer(trie)
-    fields = serializer.serialize_fields(tmp)
-    patch.node_write = (index, *fields)
-    patch.inodes += serializer.nodes_written
-    patch.leaves += serializer.leaves_written
+    return path, shallow
 
 
 def _collect_blocks(trie: Poptrie, index: int) -> List[Tuple[str, int, int]]:

@@ -154,7 +154,7 @@ class Staged(NamedTuple):
     undoes the stage and its RIB changes."""
 
     publish: Callable[[], None]
-    abandon: Callable[[], None] = lambda: None
+    abandon: Callable[[], None]
 
 
 class LookupStructure(abc.ABC):
@@ -360,7 +360,7 @@ class LookupStructure(abc.ABC):
         ``stats()["update_engine"]``."""
         return "incremental" if self.supports_incremental() else "rebuild"
 
-    def apply_updates(self, updates) -> Dict[str, object]:
+    def apply_updates(self, updates, report=None) -> Dict[str, object]:
         """Apply a batch of route updates through one uniform surface.
 
         ``updates`` is an iterable of :class:`repro.data.updates.Update`
@@ -369,17 +369,16 @@ class LookupStructure(abc.ABC):
         to :attr:`fib_limit`), staged (:meth:`_stage`) and published.
         Returns a report dict with ``applied``, ``degraded``,
         ``rejected``, ``errors`` (1-based ``(position, reason)`` pairs)
-        and ``engine``; refused updates are counted, never raised.
+        and ``engine``; refused updates go to ``report.refuse`` (by
+        default a fresh ``StreamReport``, which counts them).
         """
-        from repro.data.updates import StreamReport, check_message
-
         if self.rib is None:
             raise UpdateRejectedError(
                 f"{type(self).__name__} has no RIB bound; call "
                 "bind_rib(rib) (the registry's from_rib does this "
                 "automatically)"
             )
-        report = StreamReport()
+        report = StreamReport() if report is None else report
         accepted, positions = check_message(
             updates, self.rib, self.fib_limit, report
         )
@@ -722,6 +721,10 @@ class LookupStructure(abc.ABC):
         options by reference); the bound RIB itself pickles fine."""
         state = self.__dict__.copy()
         for key in ("lookup", "lookup_batch", "_obs_registry",
-                    "_update_rebuild", "_txn_engine"):
+                    "_update_rebuild"):
             state.pop(key, None)
         return state
+
+
+# Imported last: repro.data.updates subclasses StructureConfig.
+from repro.data.updates import StreamReport, check_message  # noqa: E402

@@ -365,19 +365,22 @@ class PoptrieKernel(LookupKernel):
         )
 
     def state_from_structure(self, trie) -> Dict[str, object]:
-        leaf_dtype = np.uint16 if trie.config.leaf_bits == 16 else np.uint32
+        # Every attribute is read before the first call (see Poptrie.lookup).
+        config, root, vec, lvec = trie.config, trie.root_index, trie.vec, trie.lvec
+        base0, base1, leaves, direct = trie.base0, trie.base1, trie.leaves, trie.direct
+        leaf_dtype = np.uint16 if config.leaf_bits == 16 else np.uint32
         return self._state(
             trie.width,
-            trie.k,
-            trie.s,
-            trie.config.use_leafvec,
-            trie.root_index,
-            np.frombuffer(trie.vec, dtype=np.uint64),
-            np.frombuffer(trie.lvec, dtype=np.uint64),
-            np.frombuffer(trie.base0, dtype=np.uint32),
-            np.frombuffer(trie.base1, dtype=np.uint32),
-            np.frombuffer(trie.leaves, dtype=leaf_dtype),
-            np.frombuffer(trie.direct, dtype=np.uint32),
+            config.k,
+            config.s,
+            config.use_leafvec,
+            root,
+            np.frombuffer(vec, dtype=np.uint64),
+            np.frombuffer(lvec, dtype=np.uint64),
+            np.frombuffer(base0, dtype=np.uint32),
+            np.frombuffer(base1, dtype=np.uint32),
+            np.frombuffer(leaves, dtype=leaf_dtype),
+            np.frombuffer(direct, dtype=np.uint32),
         )
 
     @staticmethod

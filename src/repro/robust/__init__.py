@@ -3,10 +3,10 @@ fault injection.
 
 Four pieces, documented in ``docs/ROBUSTNESS.md``:
 
-- :mod:`repro.robust.txn` — :class:`TransactionalPoptrie`, the Poptrie
-  update engine, whose updates either commit atomically or roll RIB, trie
-  and buddy-allocator state back, with graceful degradation to a full
-  rebuild;
+- :mod:`repro.robust.txn` — :class:`TransactionalPoptrie`, the
+  per-update API over the Poptrie's transactional stage, whose updates
+  either commit atomically or leave RIB, trie and buddy-allocator state
+  as they were, with graceful degradation to a full rebuild;
 - :mod:`repro.robust.journal` — :class:`Journal`, the CRC-framed
   write-ahead log of route updates with checkpoint/truncate, and
   :func:`recover`, which rebuilds the durable RIB after a crash
@@ -28,9 +28,8 @@ lazily to keep the import graph acyclic.
 from repro.robust.faults import FaultPlan, active_plan, fault_point
 
 _LAZY = {
-    "Transaction": "repro.robust.txn",
     "TransactionalPoptrie": "repro.robust.txn",
-    "TxnStats": "repro.robust.txn",
+    "TxnStats": "repro.core.update",
     "StreamReport": "repro.robust.txn",
     "VerificationReport": "repro.robust.verify",
     "verify_poptrie": "repro.robust.verify",

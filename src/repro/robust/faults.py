@@ -26,9 +26,10 @@ threaded through the library:
     :meth:`repro.robust.journal.Journal.append` — the Nth append raises
     before any byte reaches the segment, modelling a failed write.
 ``fsync``
-    :meth:`repro.robust.journal.Journal.flush` — the Nth fsync raises
-    before calling ``os.fsync``, modelling a device error at the worst
-    moment (records buffered but not durable).
+    :meth:`repro.robust.journal.Journal._fsync`, which the group commit
+    of :meth:`~repro.robust.journal.Journal.append` reaches — the Nth
+    fsync raises before calling ``os.fsync``, modelling a device error at
+    the worst moment (records written but not durable).
 ``checkpoint``
     :meth:`repro.robust.journal.Journal.checkpoint` — the Nth checkpoint
     raises after the temporary file is written but *before* the atomic

@@ -16,10 +16,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
+from repro.core.update import _count_txn
 from repro.data.updates import StreamReport, Update, check_message
 from repro.errors import ReproError
 from repro.robust import faults
-from repro.robust.txn import _count_txn
 
 
 def observe_update_latency(table: str, stage: str, elapsed_us: float) -> None:

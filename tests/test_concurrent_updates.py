@@ -14,6 +14,7 @@ the old and new table states around each update).
 """
 
 import random
+import sys
 import threading
 
 import pytest
@@ -97,7 +98,7 @@ def test_reader_never_sees_aborted_update(s):
     thread — same legality check as above, plus rollback-specific
     bookkeeping (the fault sweep in test_robust.py covers the
     single-threaded exactness of each rollback)."""
-    up = TransactionalPoptrie(PoptrieConfig(s=s), fallback_rebuild=False)
+    up = TransactionalPoptrie(PoptrieConfig(s=s))
     rng = random.Random(88)
 
     live = []
@@ -170,3 +171,68 @@ def test_reader_never_sees_aborted_update(s):
         key = verify_rng.getrandbits(32)
         assert up.lookup(key) == up.rib.lookup(key)
     up.trie.verify(up.rib, samples=1000)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["scalar", "kernel"])
+def test_reader_never_sees_a_half_adopted_rebuild(batch):
+    """A staged rebuild publishes a whole new state with one ``__dict__``
+    rebind.  Every update here fails its stage (a one-shot build fault)
+    and is serviced by a rebuild, while readers with a tiny switch
+    interval look up keys the updates never cover, one at a time or as
+    one kernel batch: each must keep its answer, which a lookup mixing
+    old and new arrays would not."""
+    rng = random.Random(12)
+    up = TransactionalPoptrie(PoptrieConfig(s=0))
+    for _ in range(300):
+        length = rng.randint(1, 32)
+        up.announce(Prefix(rng.getrandbits(length) << (32 - length), length, 32),
+                    rng.randint(1, 30))
+    # The updates stay under 0.0.0.0/4; the readers' keys avoid it.
+    keys = [rng.getrandbits(32) | (1 << 31) for _ in range(500)]
+    expected = {key: up.lookup(key) for key in keys}
+    errors = []
+    stop = threading.Event()
+
+    def reader():
+        while not stop.is_set():
+            if batch:
+                try:
+                    results = up.trie.lookup_batch(keys)
+                except Exception as exc:  # index errors = torn structure
+                    errors.append(f"reader crashed: {exc!r}")
+                    return
+                if list(results) != [expected[key] for key in keys]:
+                    errors.append("a batch answer changed")
+                    return
+                continue
+            for key in keys:
+                try:
+                    result = up.lookup(key)
+                except Exception as exc:  # index errors = torn structure
+                    errors.append(f"reader crashed: {exc!r}")
+                    return
+                if result != expected[key]:
+                    errors.append(f"{key:#x}: {result} != {expected[key]}")
+                    return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=reader) for _ in range(3)]
+    try:
+        for thread in threads:
+            thread.start()
+        for _ in range(60):
+            if errors:
+                break
+            length = rng.randint(5, 28)
+            prefix = Prefix(rng.getrandbits(length - 4) << (32 - length), length, 32)
+            with FaultPlan(build_fail_at=1):
+                up.announce(prefix, rng.randint(1, 30))
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert up.txn_stats.fallback_rebuilds == 60

@@ -284,9 +284,11 @@ class TestUpdateAndTxnObs:
         from repro.robust.txn import TransactionalPoptrie
 
         reg = obs.enable()
-        up = TransactionalPoptrie(rebuild_threshold=-1)  # any update degrades
+        up = TransactionalPoptrie()
         up.trie.enable_obs()
-        up.announce(Prefix.parse("10.0.0.0/8"), 1)
+        # The first subtree is a patch larger than the empty trie, so
+        # the update is serviced by a rebuild.
+        up.announce(Prefix.parse("10.0.0.0/24"), 1)
         assert up.trie._obs_registry is reg  # survived the trie swap
         snap = reg.snapshot()
         assert snap['repro_txn_outcomes_total{outcome="threshold_rebuild"}'] == 1

@@ -4,10 +4,13 @@ import random
 
 import pytest
 
-from tests.conftest import random_keys
+from tests.conftest import make_random_rib, random_keys
 
 from repro.core.poptrie import Poptrie, PoptrieConfig
+from repro.core.update import UpdateStats, commit, stage
+from repro.data.updates import Update, fold_updates, generate_update_stream
 from repro.errors import UpdateRejectedError
+from repro.lookup import registry
 from repro.net.prefix import Prefix
 from repro.net.values import NO_ROUTE
 from repro.robust.txn import TransactionalPoptrie
@@ -250,3 +253,65 @@ def test_lock_free_shape_builds_before_swap(monkeypatch):
     up.announce(Prefix.parse("10.0.0.0/24"), 2)
     assert observed and all(result == 1 for result in observed)
     assert up.lookup(key) == 2
+
+
+def _nested_message(rng: random.Random, rib) -> list:
+    """Up to a dozen updates, most of them nested around one address,
+    withdrawing some of the routes they meet."""
+    around = rng.getrandbits(32)
+    message, seen = [], set()
+    for _ in range(rng.randint(1, 12)):
+        length = rng.randint(0, 32)
+        value = around if rng.random() < 0.6 else rng.getrandbits(32)
+        prefix = Prefix(value >> (32 - length) << (32 - length), length, 32)
+        if prefix in seen:
+            continue
+        seen.add(prefix)
+        if rib.get(prefix) and rng.random() < 0.4:
+            message.append(Update("W", prefix))
+        else:
+            message.append(Update("A", prefix, rng.randint(1, 50)))
+    return message
+
+
+@pytest.mark.parametrize("s", [0, 8, 16])
+def test_message_patches_cover_disjoint_regions(s):
+    """``stage`` stages each touched region once: no two writes hit the
+    same slot, no block is freed twice, and publishing the patch leaves
+    the trie equal to a fresh compile of the RIB."""
+    rng = random.Random(s + 5)
+    rib = make_random_rib(300, seed=s)
+    trie = Poptrie.from_rib(rib, PoptrieConfig(s=s))
+    for _ in range(60):
+        message = _nested_message(rng, rib)
+        fold_updates(rib, message)
+        patch = stage(trie, rib, [u.prefix for u in message])
+        slots = [("node", write[0]) for write in patch.node_writes]
+        slots += [("direct", index) for index, _ in patch.direct_writes]
+        for base, span, _ in patch.direct_fills:
+            slots += [("direct", index) for index in range(base, base + span)]
+        assert len(slots) == len(set(slots))
+        frees = [(kind, offset) for kind, offset, _ in patch.frees]
+        assert len(frees) == len(set(frees))
+        commit(trie, patch, UpdateStats(), len(message))
+    trie.verify(rib, samples=2000)
+    assert equivalent_to_rebuild(TransactionalPoptrie(rib=rib, trie=trie))
+
+
+@pytest.mark.parametrize("name", ["Poptrie18", "Poptrie0"])
+def test_stream_in_32_update_messages_matches_the_rib(name):
+    """A 500-update stream sent as 32-update messages through
+    ``apply_updates`` matches the RIB oracle and passes verification."""
+    rib = make_random_rib(2000, seed=5)
+    trie = registry.get(name).from_rib(rib)
+    stream = generate_update_stream(rib, 500, seed=9)
+    for at in range(0, len(stream), 32):
+        message = stream[at:at + 32]
+        report = trie.apply_updates(message)
+        assert (report["applied"], report["rejected"]) == (len(message), 0)
+    assert trie.txn_stats.commits > 0
+    for key in random_keys(4000, seed=2):
+        assert trie.lookup(key) == rib.lookup(key)
+    trie.verify(rib, samples=2000)
+    trie.node_alloc.check_invariants()
+    trie.leaf_alloc.check_invariants()

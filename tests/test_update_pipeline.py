@@ -34,7 +34,7 @@ from repro.robust.txn import StreamReport, TransactionalPoptrie
 from repro.server import TableHandle, UpdatePipeline, protocol
 from repro.server.loadgen import _Connection
 
-from tests.conftest import make_random_rib
+from tests.conftest import allocator_state, make_random_rib
 
 REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -48,13 +48,16 @@ def route_set(rib: Rib):
 
 
 def fingerprint(engine):
-    """Everything a refused message must leave untouched (a Poptrie's
-    transaction generation counts from 0 before its first update)."""
+    """Everything a refused message must leave untouched: the table, a
+    Poptrie's counters and the complete state of its buddy allocators
+    (every staged block returned), and the RIB."""
     return (
         structure_to_bytes(engine),
         getattr(engine, "inode_count", None),
         getattr(engine, "leaf_count", None),
-        getattr(engine.__dict__.get("_txn_engine"), "generation", 0),
+        getattr(engine, "generation", None),
+        [allocator_state(getattr(engine, name))
+         for name in ("node_alloc", "leaf_alloc") if hasattr(engine, name)],
         route_set(engine.rib),
     )
 
@@ -425,13 +428,36 @@ class TestStageJournalPublish:
         journal.close()
         assert recover(directory).rib.get(q) == 0
 
-    def test_failed_group_commit_abandons_the_stage(self, tmp_path):
-        """The rebuild engine compiles the new table before the journal
-        write; when the write fails, abandon undoes the stage's RIB
-        changes and the table stays the one readers had."""
+    def test_message_refused_by_its_stage_and_rebuild_leaves_no_record(
+        self, tmp_path
+    ):
+        """A Poptrie message whose stage and fallback rebuild both fail
+        is refused before the group commit: no record, so recovery never
+        holds the route the live table refused."""
         directory = str(tmp_path)
-        pipeline, engine, journal = make_pipeline(directory, "SAIL")
-        entry, builds = registry.get("SAIL"), []
+        pipeline, engine, journal = make_pipeline(directory, "Poptrie18")
+        q = Prefix.parse("203.0.113.0/24")
+        before, seqno = fingerprint(engine), journal.last_seqno
+        with FaultPlan(build_fail_every=1) as armed:
+            report = pipeline.apply([Update("A", q, 7)])
+        assert len(armed.fired) == 2  # the stage, then the rebuild
+        assert (report.applied, report.rejected) == (0, 1)
+        assert "InjectedFault" in report.errors[0][1]
+        assert journal.last_seqno == report.seqno == seqno
+        assert fingerprint(engine) == before
+        journal.close()
+        assert recover(directory).rib.get(q) == 0
+
+    @pytest.mark.parametrize("name", ["SAIL", "Poptrie18"])
+    def test_failed_group_commit_abandons_the_stage(self, tmp_path, name):
+        """Every engine stages the message before the journal write (the
+        rebuild engine compiles the new table, Poptrie stages patches
+        into fresh buddy blocks); when the write fails, abandon undoes
+        the stage's RIB changes, returns every staged block, and the
+        table stays the one readers had."""
+        directory = str(tmp_path)
+        pipeline, engine, journal = make_pipeline(directory, name)
+        entry, builds = registry.get(name), []
 
         def counted_rebuild(rib):
             builds.append(len(rib))
@@ -440,9 +466,20 @@ class TestStageJournalPublish:
         engine.bind_rib(engine.rib, rebuild=counted_rebuild)
         message = generate_update_stream(engine.rib, 16, seed=11)
         before, seqno = fingerprint(engine), journal.last_seqno
+        append, at_journal = journal.append, []
+
+        def spy(updates):
+            at_journal.append(fingerprint(engine))
+            return append(updates)
+
+        journal.append = spy
         with FaultPlan(journal_fail_at=1) as armed:
             report = pipeline.apply(message)
-        assert armed.fired and len(builds) == 1
+        assert armed.fired and len(builds) == (name == "SAIL")
+        (staged,) = at_journal
+        assert staged[0] == before[0]  # readers still had the old table
+        assert staged[-1] != before[-1]  # the message was folded
+        assert staged[-2] != before[-2] or name == "SAIL"  # blocks staged
         assert (report.applied, report.rejected) == (0, 16)
         assert fingerprint(engine) == before
         assert journal.last_seqno == report.seqno == seqno

@@ -2,9 +2,10 @@
 
 A rule-based state machine drives arbitrary interleavings of announce,
 re-announce, withdraw and lookup against a :class:`TransactionalPoptrie`,
-with the RIB as the oracle; announcements under a one-shot allocation
-fault check that a failed update rolls back (or degrades to a rebuild)
-without the RIB and the trie drifting apart.  Hypothesis explores and *shrinks* operation
+with the RIB as the oracle; announcements under an allocation fault
+check that a failed update rolls back (a periodic fault fails the
+rebuild it falls back to as well) or degrades to a rebuild without the
+RIB and the trie drifting apart.  Hypothesis explores and *shrinks* operation
 sequences, so a failure here comes with a minimal reproducing script —
 much stronger than the fixed-seed fuzzing elsewhere in the suite.
 """
@@ -41,9 +42,10 @@ def to_prefix(raw):
 
 
 class UpdateMachine(RuleBasedStateMachine):
-    @initialize(s=st.sampled_from([0, 10, 16]), fallback=st.booleans())
-    def setup(self, s, fallback):
-        self.up = TransactionalPoptrie(PoptrieConfig(s=s), fallback_rebuild=fallback)
+    @initialize(s=st.sampled_from([0, 10, 16]), periodic=st.booleans())
+    def setup(self, s, periodic):
+        self.up = TransactionalPoptrie(PoptrieConfig(s=s))
+        self.periodic = periodic
         self.live = {}
 
     @rule(raw=prefix_values, hop=st.integers(min_value=1, max_value=40))
@@ -57,12 +59,16 @@ class UpdateMachine(RuleBasedStateMachine):
     def announce_under_fault(self, raw, hop, fail_at):
         prefix = to_prefix(raw)
         rollbacks = self.up.txn_stats.rollbacks
+        if self.periodic:
+            plan = FaultPlan(alloc_fail_every=fail_at)
+        else:
+            plan = FaultPlan(alloc_fail_at=fail_at)
         try:
-            with FaultPlan(alloc_fail_at=fail_at):
+            with plan:
                 self.up.announce(prefix, hop)
         except InjectedFault:
-            # Rolled back, not degraded: the RIB still holds the old route.
-            assert not self.up.fallback_rebuild
+            # The stage and the rebuild it fell back to both failed:
+            # rolled back, so the RIB still holds the old route.
             assert self.up.txn_stats.rollbacks == rollbacks + 1
         else:
             self.live[prefix] = hop
