@@ -1,7 +1,12 @@
-"""Compilation of a radix-tree RIB into Poptrie nodes.
+"""The scalar Poptrie builder: one node at a time, through TmpNode trees.
 
-The build runs in two phases, mirroring what the paper's C implementation
-does in one pass but keeping the logic testable in isolation:
+Whole tables are compiled by :mod:`repro.core.compiler`, level by level
+in numpy (:meth:`repro.core.poptrie.Poptrie.from_rib`).  This module is
+the node-at-a-time path beside it, with two jobs: the incremental
+updater (:mod:`repro.core.update`) stages Section 3.5's patches through
+it, and :func:`repro.core.poptrie.build_scalar` runs it over a whole
+table as the oracle the compile is held to, byte for byte.  It works in
+two phases:
 
 1. **Expansion** (:func:`expand_node`): controlled prefix expansion of the
    binary radix tree (:meth:`repro.net.rib.Rib.expand`, one k-bit chunk

@@ -171,45 +171,31 @@ class Poptrie(LookupStructure):
         unknown option names raise ``TypeError``.  ``fib_size`` (the FIB's
         entry count; defaults to one more than the RIB's largest index)
         is checked against :attr:`fib_limit` — Section 5's structural
-        limit.
+        limit.  The compile (:func:`repro.core.compiler.compile_rib`)
+        works level by level in numpy and yields the same arrays,
+        allocator states and counts as :func:`build_scalar`.
         """
         config = PoptrieConfig.resolve(config, options)
         with span("poptrie.from_rib"):
-            trie = cls(config, width=rib.width)
-            check_fib_capacity(
-                trie, rib.max_fib_index() if fib_size is None else fib_size - 1
-            )
-            if config.s == 0:
-                tmp = builder.expand_node(
-                    rib, ROOT, NO_ROUTE, config.k, config.use_leafvec
-                )
-                trie.root_index = builder.Serializer(trie).serialize(tmp)
-            else:
-                trie._build_direct(rib)
+            trie = cls._sized_for(rib, config, fib_size)
+            compile_rib(trie, rib)
             return trie
+
+    @classmethod
+    def _sized_for(
+        cls, rib: Rib, config: PoptrieConfig, fib_size: Optional[int]
+    ) -> "Poptrie":
+        """An empty trie for ``rib``, once its FIB fits the leaves."""
+        trie = cls(config, width=rib.width)
+        check_fib_capacity(
+            trie, rib.max_fib_index() if fib_size is None else fib_size - 1
+        )
+        return trie
 
     @property
     def fib_limit(self) -> int:
         """The largest FIB index a ``leaf_bits``-wide leaf encodes."""
         return (1 << self.config.leaf_bits) - 1
-
-    def _build_direct(self, rib: Rib) -> None:
-        """Fill the 2^s top-level array (Section 3.4) from the radix tree's
-        first ``s`` bits, expanding a subtree where one exists and filling
-        address ranges with tagged FIB indices where it does not."""
-        serializer = builder.Serializer(self)
-        direct = self.direct
-        for base, count, next_hop, subtree in rib.expand(ROOT, NO_ROUTE, self.s):
-            if subtree is not None:
-                tmp = builder.expand_node(
-                    rib, subtree, next_hop, self.k, self.config.use_leafvec
-                )
-                direct[base] = serializer.serialize(tmp)
-            elif count == 1:
-                direct[base] = DIRECT_LEAF | next_hop
-            else:
-                value = DIRECT_LEAF | next_hop
-                direct[base : base + count] = array("I", [value]) * count
 
     # -- serialization target interface (used by builder.Serializer) ----------
 
@@ -625,6 +611,40 @@ class Poptrie(LookupStructure):
                 stack.append(base1 + rank)
 
 
+# -- the scalar reference compile -------------------------------------------
+
+
+def build_scalar(
+    rib: Rib,
+    config: Optional[PoptrieConfig] = None,
+    fib_size: Optional[int] = None,
+    **options,
+) -> Poptrie:
+    """Compile ``rib`` one subtree at a time: :func:`builder.expand_node`
+    into a TmpNode tree, placed by a :class:`builder.Serializer`.
+
+    The oracle :meth:`Poptrie.from_rib` is held to, byte for byte, as
+    the scalar lookup is for the kernels.  Subtrees are serialized in
+    direct-array order (Section 3.4); a range without one is filled
+    with its tagged FIB index.
+    """
+    trie = Poptrie._sized_for(rib, PoptrieConfig.resolve(config, options), fib_size)
+    k, use_leafvec = trie.k, trie.config.use_leafvec
+    serializer = builder.Serializer(trie)
+    if not trie.s:
+        tmp = builder.expand_node(rib, ROOT, NO_ROUTE, k, use_leafvec)
+        trie.root_index = serializer.serialize(tmp)
+        return trie
+    direct = trie.direct
+    for base, count, next_hop, subtree in rib.expand(ROOT, NO_ROUTE, trie.s):
+        if subtree is not None:
+            tmp = builder.expand_node(rib, subtree, next_hop, k, use_leafvec)
+            direct[base] = serializer.serialize(tmp)
+        else:
+            direct[base : base + count] = array("I", [DIRECT_LEAF | next_hop]) * count
+    return trie
+
+
 # -- image compaction and validation --------------------------------------
 
 
@@ -770,10 +790,12 @@ def validate(trie: Poptrie) -> None:
             raise SnapshotFormatError(f"leaf block of node {index} overflows")
 
 
-# Imported last: core.update imports Poptrie; data.updates must follow lookup.base.
+# Imported last: core.update and core.compiler import from this module;
+# data.updates must follow lookup.base.
 from repro.core.update import (  # noqa: E402
     TxnStats, UpdateStats, _count_txn, _publish_update_obs, commit, stage,
 )
+from repro.core.compiler import compile_rib  # noqa: E402
 from repro.data.updates import fold_updates, unfold_updates  # noqa: E402
 
 # The paper's evaluated variants (Table 2/Figure 9): compiled from the

@@ -6,11 +6,17 @@ threaded through the library:
 ``alloc``
     :meth:`repro.mem.buddy.BuddyAllocator.alloc` — the Nth allocation (or
     every Nth) raises :class:`~repro.errors.InjectedFault` before touching
-    allocator state, modelling allocator exhaustion mid-update.
+    allocator state, modelling allocator exhaustion mid-update; the
+    compile visits it once per block it places with
+    :meth:`~repro.mem.buddy.BuddyAllocator.alloc_many`, before placing any.
 ``build``
-    :class:`repro.core.builder.Serializer` — the Nth node emission raises
-    mid-subtree-build, modelling an exception while the replacement subtree
-    is being constructed on the side.
+    reached once per internal node a build emits: by
+    :class:`repro.core.builder.Serializer` (staged patches and the scalar
+    reference compile) and by :mod:`repro.core.compiler` (every
+    :meth:`~repro.core.poptrie.Poptrie.from_rib`, which replays the
+    ``build`` and ``alloc`` visits in the Serializer's order) — the Nth
+    visit raises mid-build, modelling an exception while a replacement
+    subtree or table is being constructed on the side.
 ``update``
     exactly two sites, each reached once per update:
     ``UpdatePipeline.apply`` (before the update check and the

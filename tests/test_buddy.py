@@ -241,3 +241,56 @@ class TestRestorePoint:
         a.close(point)
         a.alloc(1)  # a closed point records nothing more
         assert len(point.log) == 5
+
+
+class TestAllocMany:
+    """alloc_many(): one bitmask pass that must equal sequential alloc()."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        capacity=st.sampled_from((1, 16, 64)),
+        first=st.lists(st.integers(min_value=1, max_value=70), max_size=8),
+        sizes=st.lists(st.integers(min_value=1, max_value=300), max_size=80),
+    )
+    def test_matches_sequential_alloc(self, capacity, first, sizes):
+        sequential, bulk = BuddyAllocator(capacity), BuddyAllocator(capacity)
+        for size in first:  # a used, never-freed allocator qualifies too
+            sequential.alloc(size)
+            bulk.alloc(size)
+        point = sequential.snapshot(), bulk.snapshot()
+        offsets, grows = [], []
+        for i, size in enumerate(sizes):
+            before = sequential.capacity
+            offsets.append(sequential.alloc(size))
+            if sequential.capacity != before:
+                grows.append((i, sequential.capacity))
+        assert bulk.alloc_many(sizes) == (offsets, grows)
+        assert allocator_state(bulk) == allocator_state(sequential)
+        assert point[1].log == point[0].log
+        bulk.check_invariants()
+
+    def test_refuses_split_free_lists(self):
+        a = BuddyAllocator(capacity=16)
+        x, _, y, _ = (a.alloc(1) for _ in range(4))
+        a.free(x)
+        a.free(y)  # two free order-0 blocks, 0 and 2
+        with pytest.raises(ValueError, match="at most one free block"):
+            a.alloc_many([1])
+
+    def test_non_positive_size_allocates_nothing(self):
+        a = BuddyAllocator(capacity=16)
+        before = allocator_state(a)
+        with pytest.raises(ValueError, match="positive"):
+            a.alloc_many([1, 0])
+        assert allocator_state(a) == before
+
+    def test_no_growth_raises_out_of_memory(self):
+        sequential = BuddyAllocator(capacity=8, auto_grow=False)
+        bulk = BuddyAllocator(capacity=8, auto_grow=False)
+        sequential.alloc(4)
+        sequential.alloc(2)
+        with pytest.raises(OutOfMemory):
+            sequential.alloc(4)
+        with pytest.raises(OutOfMemory):
+            bulk.alloc_many([4, 2, 4])
+        assert allocator_state(bulk) == allocator_state(sequential)

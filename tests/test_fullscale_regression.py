@@ -87,3 +87,16 @@ def test_p46_rib_holds_no_per_node_objects(tmp_path):
     assert len(rib) == 518231
     assert rib.node_count > 1_000_000
     assert len(gc.get_objects()) - before < 1_000
+
+
+@pytest.mark.parametrize("s", (0, 16, 18))
+def test_compile_is_byte_identical_to_the_scalar_oracle(full_dataset, s):
+    """``Poptrie.from_rib`` (the numpy compile) against ``build_scalar``
+    on the 531k-route table: the same arrays, allocator states, counts
+    and memory map, by digest."""
+    from repro.bench.build import trie_digest
+    from repro.core.poptrie import Poptrie, PoptrieConfig, build_scalar
+
+    config = PoptrieConfig(s=s)
+    compiled = trie_digest(Poptrie.from_rib(full_dataset.rib, config))
+    assert compiled == trie_digest(build_scalar(full_dataset.rib, config))
