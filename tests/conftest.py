@@ -7,6 +7,7 @@ from typing import List, Tuple
 
 import pytest
 
+from repro.mem.buddy import allocator_state  # noqa: F401  (tests import it from here)
 from repro.net.prefix import Prefix
 from repro.net.rib import Rib
 from repro.net.values import NO_ROUTE
@@ -56,21 +57,6 @@ def boundary_keys(rib: Rib) -> List[int]:
             k for k in (first, last, max(first - 1, 0), min(last + 1, maximum))
         )
     return keys
-
-
-def allocator_state(alloc) -> tuple:
-    """The complete state of a BuddyAllocator: capacity, every live block
-    with its order, every free list and all counters."""
-    return (
-        alloc.capacity,
-        sorted(alloc._live.items()),
-        [sorted(blocks) for blocks in alloc._free_lists],
-        alloc.used_slots,
-        alloc.alloc_count,
-        alloc.free_count,
-        alloc.grow_count,
-        alloc.high_water,
-    )
 
 
 def random_keys(count: int, seed: int, width: int = 32) -> List[int]:
